@@ -75,11 +75,6 @@ class NegativeCoefficient(ValidationError):
     usually means a non-smooth or non-projective input slipped through."""
 
 
-class NonIntegralDual(FanocheckError):
-    """Internal inconsistency: a dual vertex failed to be integral even
-    though the input passed the reflexivity and smoothness checks."""
-
-
 class ConsistencyError(FanocheckError):
     """Computed invariants violate a structural identity that holds for
     every smooth reflexive input; indicates a bug, not bad data."""

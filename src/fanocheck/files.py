@@ -17,6 +17,16 @@ from .errors import ParseError
 from .lattice import FanoPolytope
 
 
+def decode_text(data: bytes) -> str:
+    """File bytes as text: strict UTF-8, with universal newlines as
+    text-mode reading gives them.  Raises ParseError if not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def loads_polytope(text: str) -> FanoPolytope:
     """Parse polytope file contents.  Raises ParseError on malformed input;
     geometric validation errors from the constructor propagate unchanged."""
@@ -68,10 +78,10 @@ def dumps_polytope(P: FanoPolytope, comment: str | None = None) -> str:
 
 def read_polytope(path) -> FanoPolytope:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads_polytope(text)
+    return loads_polytope(decode_text(data))
 
 
 def write_polytope(P: FanoPolytope, path, comment: str | None = None) -> None:
@@ -131,10 +141,10 @@ def dumps_diamond(
 
 def read_diamond(path) -> DiamondFile:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads_diamond(text)
+    return loads_diamond(decode_text(data))
 
 
 def write_diamond(

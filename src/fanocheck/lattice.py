@@ -5,12 +5,16 @@ arbitrary precision.  Facet enumeration is a brute-force scan over all
 n-element vertex subsets with exact sidedness tests; for the polytopes this
 package targets (a few dozen vertices, dimension <= 8) that is fast enough
 and has no failure modes.
+
+Each polytope is scanned at most once, and its hull is kept in a
+module-level store.  The dual of a reflexive polytope is never scanned:
+its facets are the polytope's vertices, with the incidences transposed,
+so `reflexive_dual` records its hull straight from the polytope's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -18,9 +22,7 @@ from .errors import (
     DegenerateEdge,
     DegenerateInput,
     DuplicateVertex,
-    ConsistencyError,
     InvalidDimension,
-    NonIntegralDual,
     NonPrimitiveVertex,
     NotReflexive,
     NotSmooth,
@@ -164,9 +166,6 @@ class Halfspace:
     def contains(self, point: LatticePoint) -> bool:
         return _dot(self.normal, point) <= self.offset
 
-    def boundary_contains(self, point: LatticePoint) -> bool:
-        return _dot(self.normal, point) == self.offset
-
 
 @dataclass(frozen=True)
 class Face:
@@ -242,8 +241,19 @@ class _Hull:
     incidences: tuple[frozenset[int], ...]
 
 
-@lru_cache(maxsize=None)
+_HULLS: dict[FanoPolytope, _Hull] = {}
+
+
 def _hull(P: FanoPolytope) -> _Hull:
+    """P's hull from the store, scanning P only if it is not there yet."""
+    hull = _HULLS.get(P)
+    if hull is None:
+        hull = _HULLS[P] = _scan(P)
+    return hull
+
+
+def _scan(P: FanoPolytope) -> _Hull:
+    """Facets of P by the exhaustive scan over n-subsets of its vertices."""
     verts = P.vertices
     n = P.dim
     nv = len(verts)
@@ -319,72 +329,58 @@ def is_reflexive(P: FanoPolytope) -> bool:
     return all(h.offset == 1 for h in _hull(P).halfspaces)
 
 
+def _smoothness_failure(P: FanoPolytope) -> str | None:
+    """Why some facet of P is not a unimodular simplex, or None if none."""
+    hull = _hull(P)
+    for h, inc in zip(hull.halfspaces, hull.incidences):
+        if len(inc) != P.dim:
+            return f"facet with normal {h.normal} is not a simplex"
+        if abs(_det([P.vertices[i] for i in sorted(inc)])) != 1:
+            return f"facet with normal {h.normal} has vertex determinant != +/-1"
+    return None
+
+
 def is_smooth(P: FanoPolytope) -> bool:
     """True iff every facet is a simplex whose vertices form a lattice basis."""
-    hull = _hull(P)
-    for inc in hull.incidences:
-        if len(inc) != P.dim:
-            return False
-        if abs(_det([P.vertices[i] for i in sorted(inc)])) != 1:
-            return False
-    return True
-
-
-def _solve_at_minus_one(rows):
-    """Integer solution m of <m, v_i> = -1 for the given basis rows v_i."""
-    d = _det(rows)
-    if d == 0:
-        raise NonIntegralDual("facet vertex matrix is singular")
-    n = len(rows)
-    out = []
-    for j in range(n):
-        replaced = [r[:j] + (-1,) + r[j + 1 :] for r in rows]
-        num = _det(replaced)
-        q, r = divmod(num, d)
-        if r:
-            raise NonIntegralDual(
-                "dual vertex is not integral; input cannot be reflexive and smooth"
-            )
-        out.append(q)
-    return tuple(out)
-
-
-def polar_dual(P: FanoPolytope) -> FanoPolytope:
-    """The dual lattice polytope {m : <m, v> >= -1 for all vertices v of P}.
-
-    Requires P reflexive and smooth; then each facet contributes the unique
-    integral vertex m with <m, v_i> = -1 on the facet's n vertices.
-    """
-    hull = _hull(P)
-    if not all(h.offset == 1 for h in hull.halfspaces):
-        raise NotReflexive("a facet lies at lattice distance != 1 from the origin")
-    n = P.dim
-    dual_vertices = []
-    for h, inc in zip(hull.halfspaces, hull.incidences):
-        if len(inc) != n:
-            raise NotSmooth(f"facet with normal {h.normal} is not a simplex")
-        rows = [P.vertices[i] for i in sorted(inc)]
-        if abs(_det(rows)) != 1:
-            raise NotSmooth(
-                f"facet with normal {h.normal} has vertex determinant != +/-1"
-            )
-        m = _solve_at_minus_one(rows)
-        if any(_dot(m, v) < -1 for v in P.vertices):
-            raise ConsistencyError(f"dual vertex {m} violates a supporting inequality")
-        dual_vertices.append(m)
-    return FanoPolytope(n, tuple(dual_vertices))
+    return _smoothness_failure(P) is None
 
 
 def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
     """Dual of any reflexive polytope, smooth or not.
 
-    The vertices are the negated facet normals; for smooth P this agrees
-    with polar_dual.  Applying it twice returns the original vertex set.
+    The vertices are the negated facet normals.  The dual's facets are
+    {m : <-v, m> <= 1} for the vertices v of P, and the dual vertex of
+    facet j lies on the facet of v_i exactly when v_i lies on facet j; so
+    the dual's hull is stored from P's, transposed, without a scan.
+    Applying it twice returns the original vertex set.
     """
     hull = _hull(P)
     if not all(h.offset == 1 for h in hull.halfspaces):
         raise NotReflexive("a facet lies at lattice distance != 1 from the origin")
-    return FanoPolytope(P.dim, tuple(_neg(h.normal) for h in hull.halfspaces))
+    delta = FanoPolytope(P.dim, tuple(_neg(h.normal) for h in hull.halfspaces))
+    # The order a scan gives: by (offset, normal), and every offset is 1.
+    order = sorted(range(len(P.vertices)), key=lambda i: _neg(P.vertices[i]))
+    _HULLS[delta] = _Hull(
+        tuple(Halfspace(_neg(P.vertices[i]), 1) for i in order),
+        tuple(
+            frozenset(j for j, inc in enumerate(hull.incidences) if i in inc)
+            for i in order
+        ),
+    )
+    return delta
+
+
+def polar_dual(P: FanoPolytope) -> FanoPolytope:
+    """The dual lattice polytope {m : <m, v> >= -1 for all vertices v of P}.
+
+    Requires P reflexive (else NotReflexive) and smooth (else NotSmooth);
+    it is then reflexive_dual(P), one vertex per facet of P.
+    """
+    delta = reflexive_dual(P)
+    failure = _smoothness_failure(P)
+    if failure:
+        raise NotSmooth(failure)
+    return delta
 
 
 def face_lattice(P: FanoPolytope) -> FaceLattice:

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import identity as idmod
 from .diamond import chi_p, defect
 from .errors import DegenerateInput, ParseError, ValidationError
-from .files import DiamondFile, loads_diamond, loads_polytope
+from .files import DiamondFile, decode_text, loads_diamond, loads_polytope
 from .invariants import (
     ToricInvariants,
     compute_invariants,
@@ -28,7 +28,7 @@ from .lattice import (
     FaceLattice,
     FanoPolytope,
     Halfspace,
-    _hull,
+    _HULLS,
     face_lattice,
     facet_enumeration,
     is_reflexive,
@@ -109,7 +109,7 @@ def analyze(P: FanoPolytope) -> ToricAnalysis:
 def clear_caches() -> None:
     """Drop all memoized hulls and analyses (mainly for timing runs)."""
     analyze.cache_clear()
-    _hull.cache_clear()
+    _HULLS.clear()
 
 
 def _frac_str(x) -> str:
@@ -294,47 +294,33 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
     return EntryReport(name, "diamond", status, payload=payload)
 
 
-def _looks_like_diamond(text: str) -> bool:
-    stripped = text.lstrip()
-    return stripped.startswith("{")
-
-
 def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     """Check one input file; never raises for expected input problems.
 
-    mode "auto" treats files whose first nonblank character is '{' as
-    diamond JSON and everything else as a polytope file.  With dual=True the
-    file holds the dual (M-side) polytope and the N-side one is
-    reconstructed by duality before the pipeline runs.
+    mode "auto" treats files whose first nonblank byte is '{' as diamond
+    JSON and everything else as a polytope file; a file that is not UTF-8
+    is a parse error.  With dual=True the file holds the dual (M-side)
+    polytope and the N-side one is reconstructed by duality before the
+    pipeline runs.
     """
     name = str(path)
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         return EntryReport(
             name, "toric", CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}"
         )
 
-    is_diamond = mode == "diamond" or (mode == "auto" and _looks_like_diamond(text))
+    is_diamond = mode == "diamond" or (mode == "auto" and data.lstrip().startswith(b"{"))
     try:
+        text = decode_text(data)
         if is_diamond:
             if dual:
                 raise ValidationError("--dual applies to polytope files only")
             return check_diamond(loads_diamond(text), name)
         P = loads_polytope(text)
         if dual:
-            given = P
-            P = reflexive_dual(given)
-            entry = check_polytope(P, name)
-            if entry.passed:
-                recomputed = set(polar_dual(P).vertices)
-                if recomputed != set(given.vertices):
-                    return EntryReport(
-                        name, "toric", CheckStatus.VALIDATION_ERROR,
-                        error="dual input does not round-trip under duality",
-                        payload=entry.payload,
-                    )
-            return entry
+            P = reflexive_dual(P)
         return check_polytope(P, name)
     except ParseError as exc:
         return EntryReport(

@@ -87,6 +87,12 @@ class TestPolytopeFiles:
         with pytest.raises(ParseError):
             read_polytope(tmp_path / "nope.poly")
 
+    def test_read_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.poly"
+        path.write_bytes(b"# caf\xe9\n2 3\n1 0\n0 1\n-1 -1\n")
+        with pytest.raises(ParseError):
+            read_polytope(path)
+
     def test_file_io(self, tmp_path):
         P = gen_pn(3)
         path = tmp_path / "p3.poly"

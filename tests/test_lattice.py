@@ -31,7 +31,7 @@ from fanocheck.errors import (
     OriginNotInterior,
     RedundantVertex,
 )
-from fanocheck.lattice import _affine_rank, _det, _det_bareiss
+from fanocheck.lattice import _HULLS, _affine_rank, _det, _det_bareiss, _hull, _scan
 
 from conftest import (
     apply_matrix,
@@ -46,6 +46,9 @@ P2 = FanoPolytope(2, ((1, 0), (0, 1), (-1, -1)))
 SEGMENT = FanoPolytope(1, ((1,), (-1,)))
 CROSS = FanoPolytope(2, ((1, 0), (-1, 0), (0, 1), (0, -1)))
 SINGULAR = FanoPolytope(2, ((1, 0), (0, 1), (-1, -2)))
+CUBE3 = FanoPolytope.from_vertices(
+    [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+)
 
 
 def as_pairs(halfspaces):
@@ -163,11 +166,8 @@ class TestPredicates:
             reflexive_dual(P)
 
     def test_cube_reflexive_not_smooth(self):
-        cube = FanoPolytope.from_vertices(
-            [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
-        )
-        assert is_reflexive(cube)
-        assert not is_smooth(cube)  # facets are squares, not simplices
+        assert is_reflexive(CUBE3)
+        assert not is_smooth(CUBE3)  # facets are squares, not simplices
 
 
 class TestPolarDual:
@@ -197,29 +197,35 @@ class TestPolarDual:
 
     def test_involution(self):
         for P in [e.polytope for e in dim2_corpus()] + [SINGULAR, gen_pn(3)]:
-            again = reflexive_dual(reflexive_dual(P))
+            delta = reflexive_dual(P)
+            del _HULLS[delta]  # the second dual must come from a scan of delta
+            again = reflexive_dual(delta)
             assert set(again.vertices) == set(P.vertices)
+
+    def test_transposed_hull_equals_scan(self):
+        polytopes = [e.polytope for e in dim2_corpus()]
+        polytopes += [gen_pn(n) for n in range(2, 6)]
+        polytopes += [gen_direct_sum(gen_pn(1), gen_pn(2)), SINGULAR, CUBE3]
+        for P in polytopes:
+            delta = reflexive_dual(P)
+            assert _hull(delta) == _scan(delta), P
+
+    def test_defining_inequalities(self):
+        # <m, v> >= -1 for every dual vertex m and vertex v of P, with
+        # equality exactly for the vertices on the facet m comes from.
+        polytopes = [e.polytope for e in dim2_corpus()]
+        polytopes += [P2, CROSS, gen_pn(4), gen_direct_sum(gen_pn(1), gen_pn(2))]
+        for P in polytopes:
+            delta = polar_dual(P)
+            for m, inc in zip(delta.vertices, facet_incidences(P)):
+                for i, v in enumerate(P.vertices):
+                    value = sum(a * b for a, b in zip(m, v))
+                    assert value >= -1
+                    assert (value == -1) == (i in inc)
 
     def test_dual_vertex_count_equals_facet_count(self):
         for P in (P2, CROSS, gen_pn(4)):
             assert len(polar_dual(P).vertices) == len(facet_enumeration(P))
-
-
-class TestSolveAtMinusOne:
-    def test_unimodular_solution_is_negated_normal(self):
-        from fanocheck.lattice import _solve_at_minus_one
-
-        # facet {(1,0),(0,1)} of the plane polytope has normal (1,1)
-        assert _solve_at_minus_one([(1, 0), (0, 1)]) == (-1, -1)
-
-    def test_non_unimodular_matrix_is_rejected(self):
-        from fanocheck.errors import NonIntegralDual
-        from fanocheck.lattice import _solve_at_minus_one
-
-        with pytest.raises(NonIntegralDual):
-            _solve_at_minus_one([(2, 0), (0, 1)])
-        with pytest.raises(NonIntegralDual):
-            _solve_at_minus_one([(1, 0), (2, 0)])  # singular
 
 
 class TestFaceLattice:

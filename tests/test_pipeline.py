@@ -3,7 +3,14 @@
 import json
 from pathlib import Path
 
-from fanocheck import CheckStatus, run_batch, run_check
+from fanocheck import (
+    CheckStatus,
+    dim2_corpus,
+    dumps_polytope,
+    gen_direct_sum,
+    run_batch,
+    run_check,
+)
 from fanocheck.pipeline import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -72,6 +79,19 @@ class TestRunCheckToric:
         assert "OriginNotInterior" in entry.error
         assert entry.payload["valid"]["spanning"] is True
 
+    def test_dp6_cubed(self, tmp_path):
+        # The dual has 216 vertices in dimension 6; a facet scan of it
+        # would try C(216, 6) subsets.
+        dp6 = next(e.polytope for e in dim2_corpus() if e.name == "Bl3P2")
+        path = tmp_path / "dp6_cubed.poly"
+        path.write_text(dumps_polytope(gen_direct_sum(gen_direct_sum(dp6, dp6), dp6)))
+        entry = run_check(path)
+        assert entry.status is CheckStatus.OK
+        assert entry.payload["f_vector"] == [216, 648, 756, 432, 126, 18, 1]
+        assert entry.payload["betti"] == [1, 12, 51, 88, 51, 12, 1]
+        assert entry.payload["c_n"] == 216
+        assert entry.payload["c1_cn1"] == 648
+
 
 class TestRunCheckDual:
     def test_dual_of_p2(self, tmp_path):
@@ -128,6 +148,14 @@ class TestRunCheckDiamond:
         assert ident["rhs"] is None
         assert ident["equality"] is None
         assert "note" in entry.payload
+
+    def test_non_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "nonutf8.json"
+        path.write_bytes(b'{"n": 2, "h": [[1, 0, 1], [0, \xff20, 0], [1, 0, 1]]}\n')
+        entry = run_check(path)
+        assert entry.mode == "diamond"
+        assert entry.status is CheckStatus.PARSE_ERROR
+        assert entry.error.startswith("ParseError:")
 
     def test_violation_when_lhs_exceeds_rhs(self, tmp_path):
         path = tmp_path / "bad.json"
