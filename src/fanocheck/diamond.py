@@ -131,12 +131,12 @@ def chi_p(diamond: HodgeDiamond) -> tuple[int, ...]:
 def defect(diamond: HodgeDiamond) -> Fraction:
     """sum over p, q of h[p][q] * ((q - p)/2)^2, as an exact rational.
 
+    Summed as the integer sum of h[p][q] * (q - p)^2 over the scale 4, so
+    one exact Fraction is built and its comparisons are exact.
     Nonnegative, and zero exactly when the diamond is diagonal; this is the
     gap between the two sides of the weighted Betti / Chern inequality.
     """
-    total = Fraction(0)
-    for p in range(diamond.n + 1):
-        for q in range(diamond.n + 1):
-            if diamond.h[p][q]:
-                total += diamond.h[p][q] * Fraction(q - p, 2) ** 2
-    return total
+    return Fraction(
+        sum(x * (q - p) ** 2 for p, row in enumerate(diamond.h) for q, x in enumerate(row)),
+        4,
+    )

@@ -108,7 +108,9 @@ def loads_diamond(text: str) -> DiamondFile:
     ParseError; table-consistency problems raise the constructor's errors."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit
+        # limit of int(); RecursionError covers deeply nested arrays.
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("diamond file must hold a JSON object")

@@ -6,8 +6,11 @@ inequality
     sum_k h^{2k} (k - n/2)^2  <=  (1/6) c_1 c_{n-1} + (n/12) c_n
 
 holds, with equality exactly when all off-diagonal Hodge numbers vanish;
-the gap is the defect sum h^{p,q} ((q-p)/2)^2.  Everything here is computed
-in exact rational arithmetic; equality always means exact equality.
+the gap is the defect sum h^{p,q} ((q-p)/2)^2.  Every side is an integer
+over a fixed scale: 4 for the weighted sums and the defect, 12 for the Chern
+side, 16 and 48 for the two sides of the original normalization.  Each
+kernel sums integers and returns one exact Fraction, so every equality and
+inequality verdict compares exact values; no floating point is involved.
 """
 
 from __future__ import annotations
@@ -44,21 +47,19 @@ def weighted_betti_sum(betti, n: int) -> Fraction:
     """sum_k betti[k] * (k - n/2)^2, exact."""
     if len(betti) != n + 1:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(betti)}")
-    half_n = Fraction(n, 2)
-    return sum((b * (k - half_n) ** 2 for k, b in enumerate(betti)), Fraction(0))
+    return Fraction(sum(b * (2 * k - n) ** 2 for k, b in enumerate(betti)), 4)
 
 
 def chern_side(c1_cn1: int, c_n: int, n: int) -> Fraction:
     """(1/6) c_1 c_{n-1} + (n/12) c_n, exact."""
-    return Fraction(c1_cn1, 6) + Fraction(n, 12) * c_n
+    return Fraction(2 * c1_cn1 + n * c_n, 12)
 
 
 def chi_weighted_sum(chi, n: int) -> Fraction:
     """sum_p chi[p] * (p - n/2)^2, exact."""
     if len(chi) != n + 1:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(chi)}")
-    half_n = Fraction(n, 2)
-    return sum((c * (p - half_n) ** 2 for p, c in enumerate(chi)), Fraction(0))
+    return Fraction(sum(c * (2 * p - n) ** 2 for p, c in enumerate(chi)), 4)
 
 
 def verify_chi_identity(chi, c1_cn1: int, c_n: int, n: int) -> bool:
@@ -84,13 +85,10 @@ def quarter_weighted_form(betti, c1_cn1: int, n: int) -> tuple[Fraction, Fractio
     """
     if len(betti) != n + 1:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(betti)}")
-    mid = Fraction(n - 1, 2)
-    lhs = Fraction(1, 4) * sum(
-        (b * (k - mid) * (1 - k + mid) for k, b in enumerate(betti)), Fraction(0)
+    lhs = Fraction(
+        sum(b * (2 * k - n + 1) * (n + 1 - 2 * k) for k, b in enumerate(betti)), 16
     )
-    euler = sum(betti)
-    rhs = Fraction(1, 24) * (Fraction(3 - n, 2) * euler - c1_cn1)
-    return lhs, rhs
+    return lhs, Fraction((3 - n) * sum(betti) - 2 * c1_cn1, 48)
 
 
 def check_betti_chern(
@@ -129,7 +127,9 @@ def verify_face_count_identity(delta: FanoPolytope, faces: FaceLattice) -> bool:
     """Combinatorial form of the identity on the dual polytope:
 
     #2-faces = (1/12) * (interior points summed over edges)
-             + (n^2/8 - n/6) * #vertices,  exactly.
+             + (n^2/8 - n/6) * #vertices,  exactly;
+
+    tested as 24 * #2-faces = 2 * interior + (3n^2 - 4n) * #vertices.
     """
     n = delta.dim
     fvec = faces.f_vector()
@@ -140,10 +140,7 @@ def verify_face_count_identity(delta: FanoPolytope, faces: FaceLattice) -> bool:
         )
         for e in faces.faces(1)
     )
-    rhs = Fraction(interior_total, 12) + (
-        Fraction(n * n, 8) - Fraction(n, 6)
-    ) * fvec[0]
-    return Fraction(two_faces) == rhs
+    return 24 * two_faces == 2 * interior_total + (3 * n * n - 4 * n) * fvec[0]
 
 
 def toric_identity_report(

@@ -112,9 +112,8 @@ def clear_caches() -> None:
     _HULLS.clear()
 
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+def _frac_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _report_dict(report: idmod.IdentityReport) -> dict:

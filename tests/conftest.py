@@ -16,6 +16,12 @@ import pytest
 
 from fanocheck import FanoPolytope, HodgeDiamond
 
+# Diamond files that json.loads rejects with something other than
+# JSONDecodeError: a 5000-digit integer (ValueError from int's digit limit)
+# and arrays nested far past the recursion limit (RecursionError).
+HUGE_INT_DIAMOND = '{"n": 1, "h": [[1, 0], [0, ' + "9" * 5000 + "]]}"
+DEEP_DIAMOND = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
 
 def oracle_hyperplane(points):
     """(primitive normal, offset) of the hyperplane through n points in Z^n,

@@ -1,8 +1,11 @@
 """Hodge diamond construction, E-polynomial, chi_p, defect."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanocheck import HodgeDiamond, chi_p, defect, e_polynomial
 from fanocheck.errors import InvalidBetti, InvalidDiamond, SerreDualityWarning
@@ -132,6 +135,37 @@ class TestDefect:
             gap = defect(d)
             assert gap >= 0
             assert (gap == 0) == d.is_diagonal
+
+
+def ref_defect(diamond):
+    """The defect written directly in Fraction arithmetic; the library sums
+    scaled integers instead and must agree exactly."""
+    total = Fraction(0)
+    for p in range(diamond.n + 1):
+        for q in range(diamond.n + 1):
+            if diamond.h[p][q]:
+                total += diamond.h[p][q] * Fraction(q - p, 2) ** 2
+    return total
+
+
+@st.composite
+def hodge_tables(draw):
+    """Hodge-symmetric tables with h[0][0] = 1 and entries up to 10**30,
+    odd-degree and off-diagonal entries included."""
+    n = draw(st.integers(0, 12))
+    h = [[0] * (n + 1) for _ in range(n + 1)]
+    for p in range(n + 1):
+        for q in range(p, n + 1):
+            h[p][q] = h[q][p] = 1 if (p, q) == (0, 0) else draw(st.integers(0, 10**30))
+    return HodgeDiamond.from_table(h)
+
+
+class TestDefectMatchesFractionReference:
+    @given(hodge_tables())
+    def test_defect(self, d):
+        got = defect(d)
+        assert type(got) is Fraction
+        assert got == ref_defect(d)
 
 
 class TestDecomposition:

@@ -23,7 +23,7 @@ from fanocheck.errors import (
     ParseError,
 )
 
-from conftest import apply_matrix, random_unimodular
+from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, apply_matrix, random_unimodular
 
 
 class TestPolytopeFiles:
@@ -141,6 +141,14 @@ class TestDiamondFiles:
     def test_non_object(self):
         with pytest.raises(ParseError):
             loads_diamond("[1, 2, 3]")
+
+    def test_integer_past_digit_limit(self):
+        with pytest.raises(ParseError):
+            loads_diamond(HUGE_INT_DIAMOND)
+
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError):
+            loads_diamond(DEEP_DIAMOND)
 
     def test_table_validation_propagates(self):
         with pytest.raises(InvalidDiamond):

@@ -1,5 +1,6 @@
-"""Golden reports: every fixture, corpus entry and ladder polytope must give
-the same JSON report, byte for byte, as when the golden file was written.
+"""Golden reports: every fixture, corpus entry, ladder polytope and seeded
+diamond file must give the same JSON report, byte for byte, as when the
+golden file was written.
 
 Each report is `run_check(...).to_dict()` serialised as the CLI does it.
 Regenerate the file only when a report is meant to change:
@@ -8,6 +9,7 @@ Regenerate the file only when a report is meant to change:
 """
 
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -34,9 +36,60 @@ def _generated_polytopes():
     yield "dP6xdP6", gen_direct_sum(dp6, dp6)
 
 
+def _diamond_table(n: int, rng: random.Random, top: int, odd: bool) -> list[list[int]]:
+    """Hodge- and Serre-symmetric table with h[0][0] = 1 and entries up to
+    top; odd-degree entries vanish unless odd, and then one does not."""
+    h = [[None] * (n + 1) for _ in range(n + 1)]
+    for p in range(n + 1):
+        for q in range(p, n + 1):
+            if h[p][q] is not None:
+                continue
+            if (p, q) == (0, 0):
+                v = 1
+            elif (p + q) % 2 and not odd:
+                v = 0
+            else:
+                v = rng.choice((0, rng.randint(1, top)))
+            for a, b in ((p, q), (q, p), (n - p, n - q), (n - q, n - p)):
+                h[a][b] = v
+    if odd:
+        for a, b in ((0, 1), (1, 0), (n, n - 1), (n - 1, n)):
+            h[a][b] = h[a][b] or 1
+    return h
+
+
+def _generated_diamonds():
+    """Seeded diamond files for n = 1..10: without Chern numbers, with Chern
+    numbers that satisfy the chi identity, with random ones (negative
+    c1_cn1 and inequality violations included), and with odd cohomology;
+    entries reach 10**20."""
+    rng = random.Random(31415)
+    for i in range(40):
+        n = 1 + i % 10
+        kind = i // 10
+        h = _diamond_table(n, rng, 10 ** rng.choice((1, 3, 20)), odd=kind == 3)
+        obj = {"n": n, "h": h}
+        if kind == 1:
+            chi = [
+                sum((-1) ** (p + q) * x for q, x in enumerate(row))
+                for p, row in enumerate(h)
+            ]
+            c_n = sum(chi)
+            twice_c1 = 3 * sum(c * (2 * p - n) ** 2 for p, c in enumerate(chi)) - n * c_n
+            obj["c1_cn1"] = twice_c1 // 2 if twice_c1 % 2 == 0 else rng.randint(-50, 50)
+            obj["c_n"] = c_n
+        elif kind == 2:
+            scale = 10 ** rng.choice((1, 20, 21))
+            obj["c1_cn1"] = rng.randint(-scale, scale)
+            obj["c_n"] = rng.randint(0, scale)
+        elif kind == 0 and i % 3 == 0:
+            obj["c_n"] = rng.randint(0, 100)  # one Chern number alone is not enough
+        yield f"diamond/d{i:02d}", obj
+
+
 def current_reports(workdir: Path) -> dict[str, dict]:
-    """Label -> report dict for every golden case; generated polytopes are
-    written under workdir and named by their label."""
+    """Label -> report dict for every golden case; generated polytopes and
+    diamonds are written under workdir and named by their label."""
     out = {}
     for path in sorted(p for p in FIXTURES.iterdir() if p.suffix in (".poly", ".json")):
         rel = path.relative_to(ROOT).as_posix()
@@ -47,6 +100,12 @@ def current_reports(workdir: Path) -> dict[str, dict]:
     for label, P in _generated_polytopes():
         path = workdir / (label.replace("/", "_") + ".poly")
         path.write_text(dumps_polytope(P))
+        report = run_check(path).to_dict()
+        report["name"] = label
+        out[label] = report
+    for label, obj in _generated_diamonds():
+        path = workdir / (label.replace("/", "_") + ".json")
+        path.write_text(json.dumps(obj))
         report = run_check(path).to_dict()
         report["name"] = label
         out[label] = report

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanocheck import (
     HodgeDiamond,
@@ -13,11 +15,14 @@ from fanocheck import (
     chi_weighted_sum,
     defect,
     dim2_corpus,
+    edge_interior_points,
     face_lattice,
     gen_direct_sum,
     gen_pn,
+    loads_polytope,
     polar_dual,
     quarter_weighted_form,
+    reflexive_dual,
     verify_chi_identity,
     verify_face_count_identity,
     weighted_betti_sum,
@@ -263,3 +268,91 @@ class TestMonotonePerturbation:
 @pytest.fixture
 def rng():
     return random.Random(55331)
+
+
+# Reference implementations: the identity kernels written directly in
+# Fraction arithmetic.  The library sums scaled integers instead, and must
+# agree with these exactly.
+
+
+def ref_weighted_betti_sum(betti, n):
+    half_n = Fraction(n, 2)
+    return sum((b * (k - half_n) ** 2 for k, b in enumerate(betti)), Fraction(0))
+
+
+def ref_chern_side(c1_cn1, c_n, n):
+    return Fraction(c1_cn1, 6) + Fraction(n, 12) * c_n
+
+
+def ref_quarter_weighted_form(betti, c1_cn1, n):
+    mid = Fraction(n - 1, 2)
+    lhs = Fraction(1, 4) * sum(
+        (b * (k - mid) * (1 - k + mid) for k, b in enumerate(betti)), Fraction(0)
+    )
+    rhs = Fraction(1, 24) * (Fraction(3 - n, 2) * sum(betti) - c1_cn1)
+    return lhs, rhs
+
+
+def ref_face_count_identity(delta, faces):
+    n = delta.dim
+    fvec = faces.f_vector()
+    two_faces = fvec[2] if n >= 2 else 0
+    interior_total = sum(
+        edge_interior_points(
+            delta.vertices[e.vertex_indices[0]], delta.vertices[e.vertex_indices[1]]
+        )
+        for e in faces.faces(1)
+    )
+    rhs = Fraction(interior_total, 12) + (Fraction(n * n, 8) - Fraction(n, 6)) * fvec[0]
+    return Fraction(two_faces) == rhs
+
+
+BIG = 10**30
+_entries = st.integers(-BIG, BIG)
+
+
+@st.composite
+def _vector_and_n(draw):
+    n = draw(st.integers(0, 12))
+    return draw(st.lists(_entries, min_size=n + 1, max_size=n + 1)), n
+
+
+class TestKernelsMatchFractionReference:
+    @given(_vector_and_n())
+    def test_weighted_sums(self, vec_n):
+        vec, n = vec_n
+        for kernel in (weighted_betti_sum, chi_weighted_sum):
+            got = kernel(vec, n)
+            assert type(got) is Fraction
+            assert got == ref_weighted_betti_sum(vec, n)
+
+    @given(_entries, _entries, st.integers(0, 12))
+    def test_chern_side(self, c1_cn1, c_n, n):
+        got = chern_side(c1_cn1, c_n, n)
+        assert type(got) is Fraction
+        assert got == ref_chern_side(c1_cn1, c_n, n)
+
+    @given(_vector_and_n(), _entries)
+    def test_quarter_weighted_form(self, vec_n, c1_cn1):
+        betti, n = vec_n
+        got = quarter_weighted_form(betti, c1_cn1, n)
+        assert all(type(x) is Fraction for x in got)
+        assert got == ref_quarter_weighted_form(betti, c1_cn1, n)
+
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_face_count_verdicts(self, dual):
+        # The identity holds on the dual of a smooth Fano and generally fails
+        # on the polytope itself or on the dual of a singular one, so both
+        # verdicts are compared.
+        singular = loads_polytope("2 3\n1 0\n0 1\n-1 -2\n")
+        polytopes = [e.polytope for e in dim2_corpus()] + [
+            gen_pn(1), gen_pn(3), gen_pn(4), gen_direct_sum(gen_pn(1), gen_pn(2)), singular,
+        ]
+        verdicts = []
+        for P in polytopes:
+            target = reflexive_dual(P) if dual else P
+            faces = face_lattice(target)
+            verdict = verify_face_count_identity(target, faces)
+            assert verdict == ref_face_count_identity(target, faces)
+            verdicts.append(verdict)
+        assert False in verdicts

@@ -13,6 +13,8 @@ from fanocheck import (
 )
 from fanocheck.pipeline import analyze
 
+from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -174,6 +176,19 @@ class TestRunBatch:
         assert counts["identity_violations"] == 0
         # cube, singular, not_reflexive, bad_header, asym, genus2 error out
         assert counts["errors"] == 6
+        assert report.exit_status == 2
+
+    def test_unparsable_json_does_not_abort_batch(self, tmp_path):
+        (tmp_path / "huge.json").write_text(HUGE_INT_DIAMOND)
+        (tmp_path / "deep.json").write_text(DEEP_DIAMOND)
+        (tmp_path / "k3.json").write_bytes((FIXTURES / "k3.json").read_bytes())
+        report = run_batch([tmp_path])
+        statuses = {Path(e.name).name: e.status for e in report.entries}
+        assert statuses == {
+            "deep.json": CheckStatus.PARSE_ERROR,
+            "huge.json": CheckStatus.PARSE_ERROR,
+            "k3.json": CheckStatus.OK,
+        }
         assert report.exit_status == 2
 
     def test_all_good_exit_zero(self):
