@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from .pipeline import RunReport, run_batch, run_check
 
 def _emit(report: RunReport, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        click.echo(report.to_json())
     else:
         click.echo(report.to_text())
 

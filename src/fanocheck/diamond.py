@@ -10,43 +10,86 @@ predicate, so purely formal test tables remain constructible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from operator import mul, sub
 
 from .errors import InvalidBetti, InvalidDiamond, SerreDualityWarning
 
 
+@lru_cache(maxsize=32)
+def _layout(n: int):
+    """Slices of the row-major flattened (n+1) x (n+1) table: the even
+    antidiagonals p + q = 2k, the even- and odd-degree halves of each row,
+    the upper diagonals q - p = d for d = 1..n, and the weights 2 d^2 that
+    turn the upper diagonal sums into the defect sum of a Hodge-symmetric
+    table."""
+    size = n + 1
+    anti = []
+    for s in range(0, 2 * n + 1, 2):
+        first, last = max(0, s - n), min(s, n)
+        start = first * n + s  # index of (p, s - p) is p * n + s
+        anti.append(slice(start, start + n * (last - first) + 1, n or 1))
+    even_rows = tuple(slice(p * size + p % 2, (p + 1) * size, 2) for p in range(size))
+    odd_rows = tuple(slice(p * size + 1 - p % 2, (p + 1) * size, 2) for p in range(size))
+    upper = tuple(slice(d, d + (n + 2) * (n - d) + 1, n + 2) for d in range(1, size))
+    weights = tuple(2 * d * d for d in range(1, size))
+    return tuple(anti), even_rows, odd_rows, upper, weights
+
+
 @dataclass(frozen=True)
 class HodgeDiamond:
-    """Hodge number table h[p][q], 0 <= p, q <= n."""
+    """Hodge number table h[p][q], 0 <= p, q <= n.
+
+    The even Betti numbers, chi_p, odd vanishing and the defect numerator
+    are computed once, in the constructor, from the validated table.
+    """
 
     n: int
     h: tuple[tuple[int, ...], ...]
+    _even_betti: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _chi_p: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _odd_vanishing: bool = field(init=False, repr=False, compare=False)
+    _defect4: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = self.n + 1
-        if self.n < 0 or len(self.h) != size or any(len(row) != size for row in self.h):
+        n, h = self.n, self.h
+        size = n + 1
+        if n < 0 or len(h) != size or {*map(len, h)} != {size}:
             raise InvalidDiamond(f"table must be {size}x{size}")
-        if any(x < 0 for row in self.h for x in row):
+        if min(map(min, h)) < 0:
             raise InvalidDiamond("Hodge numbers must be nonnegative")
-        if self.h[0][0] != 1:
-            raise InvalidDiamond(f"h[0][0] must be 1, got {self.h[0][0]}")
-        for p in range(size):
-            for q in range(p + 1, size):
-                if self.h[p][q] != self.h[q][p]:
-                    raise InvalidDiamond(
-                        f"Hodge symmetry broken: h[{p}][{q}]={self.h[p][q]} "
-                        f"but h[{q}][{p}]={self.h[q][p]}"
-                    )
-        for p in range(size):
-            for q in range(size):
-                if self.h[p][q] != self.h[self.n - p][self.n - q]:
-                    warnings.warn(
-                        f"h[{p}][{q}] != h[{self.n - p}][{self.n - q}]",
-                        SerreDualityWarning,
-                        stacklevel=2,
-                    )
-                    return
+        if h[0][0] != 1:
+            raise InvalidDiamond(f"h[0][0] must be 1, got {h[0][0]}")
+        # Whole-table tests first; the loops only locate the first failure.
+        if tuple(zip(*h)) != h:
+            for p in range(size):
+                for q in range(p + 1, size):
+                    if h[p][q] != h[q][p]:
+                        raise InvalidDiamond(
+                            f"Hodge symmetry broken: h[{p}][{q}]={h[p][q]} "
+                            f"but h[{q}][{p}]={h[q][p]}"
+                        )
+        # (n - p, n - q) sits at the mirror index of (p, q) in the flat table.
+        flat = tuple(chain.from_iterable(h))
+        if flat != flat[::-1]:
+            i = next(i for i, x in enumerate(flat) if x != flat[-1 - i])
+            p, q = divmod(i, size)
+            warnings.warn(
+                f"h[{p}][{q}] != h[{n - p}][{n - q}]", SerreDualityWarning, stacklevel=2
+            )
+
+        anti, even_rows, odd_rows, upper, weights = _layout(n)
+        at = flat.__getitem__
+        odd = tuple(map(sum, map(at, odd_rows)))
+        setattr_ = object.__setattr__
+        setattr_(self, "_even_betti", tuple(map(sum, map(at, anti))))
+        setattr_(self, "_chi_p", tuple(map(sub, map(sum, map(at, even_rows)), odd)))
+        # Entries are nonnegative, so a zero sum means every entry is zero.
+        setattr_(self, "_odd_vanishing", not any(odd))
+        setattr_(self, "_defect4", sum(map(mul, weights, map(sum, map(at, upper)))))
 
     @classmethod
     def from_table(cls, rows) -> "HodgeDiamond":
@@ -77,12 +120,7 @@ class HodgeDiamond:
     @property
     def is_odd_vanishing(self) -> bool:
         """True iff h[p][q] = 0 whenever p + q is odd."""
-        return all(
-            self.h[p][q] == 0
-            for p in range(self.n + 1)
-            for q in range(self.n + 1)
-            if (p + q) % 2
-        )
+        return self._odd_vanishing
 
     @property
     def is_diagonal(self) -> bool:
@@ -95,17 +133,11 @@ class HodgeDiamond:
 
     def even_betti(self) -> tuple[int, ...]:
         """h^{2k} = sum of h[p][q] over p + q = 2k, for k = 0..n."""
-        return tuple(
-            sum(self.h[p][2 * k - p] for p in range(self.n + 1) if 0 <= 2 * k - p <= self.n)
-            for k in range(self.n + 1)
-        )
+        return self._even_betti
 
     def euler(self) -> int:
-        return sum(
-            (-1) ** (p + q) * self.h[p][q]
-            for p in range(self.n + 1)
-            for q in range(self.n + 1)
-        )
+        """sum of (-1)^{p+q} h[p][q], that is, the sum of the chi_p."""
+        return sum(self._chi_p)
 
 
 def e_polynomial(diamond: HodgeDiamond) -> tuple[tuple[int, ...], ...]:
@@ -122,21 +154,15 @@ def e_polynomial(diamond: HodgeDiamond) -> tuple[tuple[int, ...], ...]:
 
 def chi_p(diamond: HodgeDiamond) -> tuple[int, ...]:
     """chi_p = sum_q (-1)^{p+q} h[p][q], for p = 0..n."""
-    return tuple(
-        sum((-1) ** (p + q) * diamond.h[p][q] for q in range(diamond.n + 1))
-        for p in range(diamond.n + 1)
-    )
+    return diamond._chi_p
 
 
 def defect(diamond: HodgeDiamond) -> Fraction:
     """sum over p, q of h[p][q] * ((q - p)/2)^2, as an exact rational.
 
-    Summed as the integer sum of h[p][q] * (q - p)^2 over the scale 4, so
-    one exact Fraction is built and its comparisons are exact.
+    The integer sum of h[p][q] * (q - p)^2, kept by the diamond, over the
+    scale 4, so one exact Fraction is built and its comparisons are exact.
     Nonnegative, and zero exactly when the diamond is diagonal; this is the
     gap between the two sides of the weighted Betti / Chern inequality.
     """
-    return Fraction(
-        sum(x * (q - p) ** 2 for p, row in enumerate(diamond.h) for q, x in enumerate(row)),
-        4,
-    )
+    return Fraction(diamond._defect4, 4)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .diamond import HodgeDiamond
@@ -97,10 +98,22 @@ class DiamondFile:
     c_n: int | None = None
 
 
+# Integers in a diamond file stay below this in absolute value.  The reported
+# sums are small multiples of such integers (the defect weights an entry by
+# (q - p)^2 / 4), so they stay hundreds of digits below the 4300-digit limit
+# of Python's int-to-string conversion.
+INT_BOUND = 10**4000
+
+
 def _require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"field {name!r} must be an integer, got {value!r}")
     return value
+
+
+def _require_bounded(values, name: str) -> None:
+    if values and (max(values) >= INT_BOUND or min(values) <= -INT_BOUND):
+        raise ParseError(f"field {name!r} must be below 10**4000 in absolute value")
 
 
 def loads_diamond(text: str) -> DiamondFile:
@@ -124,10 +137,18 @@ def loads_diamond(text: str) -> DiamondFile:
         or any(not isinstance(r, list) or len(r) != n + 1 for r in rows)
     ):
         raise ParseError(f"'h' must be a {n + 1}x{n + 1} table")
-    table = [[_require_int(x, "h") for x in row] for row in rows]
-    c1_cn1 = _require_int(obj["c1_cn1"], "c1_cn1") if "c1_cn1" in obj else None
-    c_n = _require_int(obj["c_n"], "c_n") if "c_n" in obj else None
-    return DiamondFile(HodgeDiamond(n, tuple(tuple(r) for r in table)), c1_cn1, c_n)
+    entries = [*chain.from_iterable(rows)]
+    # bool is the only int subclass json.loads makes, so `type is int` is exact.
+    if not {*map(type, entries)} <= {int}:
+        for x in entries:
+            _require_int(x, "h")
+    _require_bounded(entries, "h")
+    chern = {}
+    for name in ("c1_cn1", "c_n"):
+        if name in obj:
+            chern[name] = _require_int(obj[name], name)
+            _require_bounded((chern[name],), name)
+    return DiamondFile(HodgeDiamond(n, tuple(map(tuple, rows))), **chern)
 
 
 def dumps_diamond(

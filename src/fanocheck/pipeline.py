@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import identity as idmod
@@ -110,6 +111,41 @@ def clear_caches() -> None:
     """Drop all memoized hulls and analyses (mainly for timing runs)."""
     analyze.cache_clear()
     _HULLS.clear()
+
+
+def dumps_json(value, _pad: str = "\n") -> str:
+    """JSON text of a report-shaped value (dicts with str keys, lists,
+    str, int, bool, None), identical to json.dumps(value, indent=2,
+    sort_keys=True); json.dumps runs its pure-Python encoder whenever
+    indent is set."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = _pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not str
+        items = [
+            f"{encode_basestring_ascii(k)}: {dumps_json(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + _pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [dumps_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + _pad + "]"
+    raise TypeError(f"{kind.__name__} has no place in a report")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -304,7 +340,8 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     """
     name = str(path)
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         return EntryReport(
             name, "toric", CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}"
@@ -372,6 +409,10 @@ class RunReport:
             "aggregate": {**self.counts, "exit_status": self.exit_status},
         }
 
+    def to_json(self) -> str:
+        """to_dict() as json.dumps(..., indent=2, sort_keys=True) writes it."""
+        return dumps_json(self.to_dict())
+
     def to_text(self) -> str:
         blocks = [e.to_text() for e in self.entries]
         counts = self.counts
@@ -388,9 +429,7 @@ def _expand_paths(paths) -> list[Path]:
     for p in paths:
         p = Path(p)
         if p.is_dir():
-            out.extend(
-                sorted(q for q in p.iterdir() if q.suffix in (".poly", ".json"))
-            )
+            out.extend(q for q in p.iterdir() if q.suffix in (".poly", ".json"))
         else:
             out.append(p)
     return out

@@ -7,6 +7,7 @@ catch sign and normalization bugs in the integer code paths.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -21,6 +22,16 @@ from fanocheck import FanoPolytope, HodgeDiamond
 # and arrays nested far past the recursion limit (RecursionError).
 HUGE_INT_DIAMOND = '{"n": 1, "h": [[1, 0], [0, ' + "9" * 5000 + "]]}"
 DEEP_DIAMOND = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def corner_diamond(value: int, n: int = 10, **chern) -> str:
+    """Diamond file text with h[0][n] = h[n][0] = value, the diagonal ends 1
+    and zeros elsewhere.  With value = 10**4299 - 1 the entries parse, but
+    the defect, 50 * value, has 4301 digits: past the digit limit of str()."""
+    h = [[0] * (n + 1) for _ in range(n + 1)]
+    h[0][0] = h[n][n] = 1
+    h[0][n] = h[n][0] = value
+    return json.dumps({"n": n, "h": h, **chern})
 
 
 def oracle_hyperplane(points):

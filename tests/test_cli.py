@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from fanocheck import run_batch
 from fanocheck.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -87,6 +88,12 @@ class TestBatch:
             main, ["batch", str(FIXTURES), "--format", "json", "--jobs", "4"]
         )
         assert json.loads(res1.output) == json.loads(res4.output)
+
+    def test_json_is_json_dumps_of_the_report(self, runner):
+        result = runner.invoke(main, ["batch", "--format", "json", str(FIXTURES)])
+        report = run_batch([str(FIXTURES)])
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert result.output == expected
 
     def test_all_ok(self, runner):
         result = runner.invoke(

@@ -23,7 +23,13 @@ from fanocheck.errors import (
     ParseError,
 )
 
-from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, apply_matrix, random_unimodular
+from conftest import (
+    DEEP_DIAMOND,
+    HUGE_INT_DIAMOND,
+    apply_matrix,
+    corner_diamond,
+    random_unimodular,
+)
 
 
 class TestPolytopeFiles:
@@ -149,6 +155,39 @@ class TestDiamondFiles:
     def test_deep_nesting(self):
         with pytest.raises(ParseError):
             loads_diamond(DEEP_DIAMOND)
+
+    def test_first_non_integer_is_named(self):
+        with pytest.raises(ParseError, match=r"field 'h' must be an integer, got 'x'"):
+            loads_diamond('{"n": 1, "h": [[1, "x"], [null, 1]]}')
+        with pytest.raises(ParseError, match=r"field 'c_n' must be an integer, got 2.0"):
+            loads_diamond('{"n": 1, "h": [[1, 0], [0, 1]], "c1_cn1": 1, "c_n": 2.0}')
+
+    def test_ragged_rows(self):
+        with pytest.raises(ParseError, match=r"'h' must be a 2x2 table"):
+            loads_diamond('{"n": 1, "h": [[1, 0], [0]]}')
+        with pytest.raises(ParseError, match=r"'h' must be a 2x2 table"):
+            loads_diamond('{"n": 1, "h": [[1, 0], 7]}')
+
+    def test_integer_whose_sums_pass_the_digit_limit(self):
+        with pytest.raises(ParseError, match=r"field 'h' must be below 10\*\*4000"):
+            loads_diamond(corner_diamond(10**4299 - 1))
+
+    @pytest.mark.parametrize("name", ["h", "c1_cn1", "c_n"])
+    @pytest.mark.parametrize("value", [10**4000, -(10**4000)])
+    def test_integer_bound_names_the_field(self, name, value):
+        chern = {"c1_cn1": 0, "c_n": 2}
+        if name == "h":
+            text = corner_diamond(value, **chern)
+        else:
+            text = corner_diamond(1, **{**chern, name: value})
+        with pytest.raises(ParseError, match=f"field '{name}' must be below 10"):
+            loads_diamond(text)
+
+    def test_integer_just_below_bound(self):
+        top = 10**4000 - 1
+        data = loads_diamond(corner_diamond(top, c1_cn1=-top, c_n=top))
+        assert data.diamond.h[0][10] == top
+        assert (data.c1_cn1, data.c_n) == (-top, top)
 
     def test_table_validation_propagates(self):
         with pytest.raises(InvalidDiamond):

@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 from fanocheck import dim2_corpus, dumps_polytope, gen_direct_sum, gen_pn, run_check
+from fanocheck.pipeline import dumps_json
 
 from test_acceptance import product_family
 
@@ -118,6 +119,16 @@ def test_reports_match_golden(tmp_path):
     assert sorted(current) == sorted(golden)
     changed = [k for k in golden if _serialise(current[k]) != _serialise(golden[k])]
     assert not changed, f"reports differ from the golden file: {changed}"
+
+
+
+def test_emitter_matches_json_dumps_on_golden():
+    """The CLI writes reports with dumps_json; _serialise stays the
+    json.dumps reference it must equal."""
+    golden = json.loads(GOLDEN.read_text())
+    for label, report in golden.items():
+        assert dumps_json(report) == _serialise(report), label
+    assert dumps_json(golden) == _serialise(golden)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,25 @@
 """run_check / run_batch behaviour, statuses, report shapes."""
 
 import json
+import shutil
 from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanocheck import (
     CheckStatus,
+    RunReport,
     dim2_corpus,
     dumps_polytope,
     gen_direct_sum,
     run_batch,
     run_check,
 )
-from fanocheck.pipeline import analyze
+from fanocheck.pipeline import analyze, dumps_json
 
-from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND
+from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -191,6 +197,28 @@ class TestRunBatch:
         }
         assert report.exit_status == 2
 
+    def test_sums_past_the_digit_limit_do_not_abort_batch(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(corner_diamond(10**4299 - 1))
+        entry = run_check(big)
+        assert entry.status is CheckStatus.PARSE_ERROR
+        assert entry.error == "ParseError: field 'h' must be below 10**4000 in absolute value"
+        (tmp_path / "k3.json").write_bytes((FIXTURES / "k3.json").read_bytes())
+        report = run_batch([tmp_path])
+        statuses = {Path(e.name).name: e.status for e in report.entries}
+        assert statuses == {"big.json": CheckStatus.PARSE_ERROR, "k3.json": CheckStatus.OK}
+        assert report.exit_status == 2
+        assert json.loads(report.to_json())["aggregate"]["errors"] == 1
+
+    def test_entries_just_below_the_bound_pass(self, tmp_path):
+        path = tmp_path / "top.json"
+        path.write_text(corner_diamond(10**4000 - 1))
+        entry = run_check(path)
+        assert entry.status is CheckStatus.OK
+        assert len(entry.payload["identity"]["defect"]) == 4002
+        assert entry.payload["identity"]["defect"] == str(50 * (10**4000 - 1))
+        assert json.loads(RunReport((entry,)).to_json())["entries"][0]["status"] == "ok"
+
     def test_all_good_exit_zero(self):
         report = run_batch([FIXTURES / "p2.poly", FIXTURES / "k3.json"])
         assert report.exit_status == 0
@@ -216,6 +244,79 @@ class TestRunBatch:
         report = run_batch([FIXTURES])
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert json.loads(text)["aggregate"]["exit_status"] == 2
+
+
+class TestBatchOrder:
+    """Directories are listed in whatever order the file system gives;
+    run_batch sorts the entries by name."""
+
+    def _inputs(self, tmp_path):
+        d = tmp_path / "d"
+        d.mkdir()
+        for name, fixture in (
+            ("b.json", "cubic_fourfold.json"),
+            ("A.poly", "p2.poly"),
+            ("a10.json", "k3.json"),
+            ("a9.json", "asym.json"),
+            ("skipped.txt", "p3.poly"),
+        ):
+            shutil.copy(FIXTURES / fixture, d / name)
+        e = tmp_path / "e"
+        e.mkdir()
+        shutil.copy(FIXTURES / "p1xp2.poly", e / "z.poly")
+        # a file, a directory, and a9.json a second time by itself
+        args = [e / "z.poly", d, str(d / "a9.json")]
+        files = [d / n for n in ("b.json", "A.poly", "a10.json", "a9.json", "a9.json")]
+        return args, files + [e / "z.poly"]
+
+    def test_entries_in_name_order(self, tmp_path):
+        args, files = self._inputs(tmp_path)
+        names = [e.name for e in run_batch(args).entries]
+        assert names == sorted(str(f) for f in files)
+        assert [Path(n).name for n in names] == [
+            "A.poly", "a10.json", "a9.json", "a9.json", "b.json", "z.poly",
+        ]
+
+    def test_jobs_and_sorted_reference_agree(self, tmp_path):
+        args, files = self._inputs(tmp_path)
+        reference = RunReport(tuple(run_check(f) for f in sorted(str(f) for f in files)))
+        for jobs in (1, 2):
+            assert run_batch(args, jobs=jobs).to_json() == reference.to_json()
+
+
+report_text = st.text(
+    st.characters(blacklist_categories=())  # lone surrogates included
+    | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'),
+    max_size=8,
+)
+report_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**100), 10**100)
+    | report_text
+    | st.lists(st.integers(-(10**100), 10**100), max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(report_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonEmitter:
+    @given(report_values)
+    def test_matches_json_dumps(self, value):
+        assert dumps_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_edge_values(self):
+        for value in ([], {}, [[]], {"a": {}}, [True, 1, None], [-0, 10**100], "\ud800"):
+            assert dumps_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_rejects_what_no_report_holds(self):
+        for value in (1.5, {1: "a"}, {"b": {2}}):
+            with pytest.raises(TypeError):
+                dumps_json(value)
+
+    def test_report(self):
+        report = run_batch([FIXTURES])
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
 class TestAnalyzeCaching:
