@@ -2,7 +2,7 @@
 verification of the weighted Betti / Chern number identity."""
 
 from .corpus import CorpusEntry, PinnedValues, dim2_corpus, gen_direct_sum, gen_pn
-from .diamond import HodgeDiamond, chi_p, defect, e_polynomial
+from .diamond import HodgeDiamond, chi_p, defect
 from .files import (
     DiamondFile,
     dumps_diamond,
@@ -31,6 +31,7 @@ from .invariants import (
     betti_numbers,
     chern_numbers,
     compute_invariants,
+    fan_invariants,
     poincare_polynomial,
     second_derivative_at_one,
 )

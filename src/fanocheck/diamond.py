@@ -140,18 +140,6 @@ class HodgeDiamond:
         return sum(self._chi_p)
 
 
-def e_polynomial(diamond: HodgeDiamond) -> tuple[tuple[int, ...], ...]:
-    """Coefficient table of E(u, v) = sum (-1)^{p+q} h[p][q] u^p v^q.
-
-    Entry [p][q] is the coefficient of u^p v^q; setting v = 1 and summing
-    rows recovers the chi_p list.
-    """
-    return tuple(
-        tuple((-1) ** (p + q) * diamond.h[p][q] for q in range(diamond.n + 1))
-        for p in range(diamond.n + 1)
-    )
-
-
 def chi_p(diamond: HodgeDiamond) -> tuple[int, ...]:
     """chi_p = sum_q (-1)^{p+q} h[p][q], for p = 0..n."""
     return diamond._chi_p

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .diamond import HodgeDiamond, chi_p, defect
 from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
-from .invariants import ToricInvariants
-from .lattice import FaceLattice, FanoPolytope, edge_interior_points
+from .invariants import ToricInvariants, chern_numbers
+from .lattice import FaceLattice, FanoPolytope
 
 
 @dataclass(frozen=True)
@@ -127,25 +127,20 @@ def verify_face_count_identity(delta: FanoPolytope, faces: FaceLattice) -> bool:
     """Combinatorial form of the identity on the dual polytope:
 
     #2-faces = (1/12) * (interior points summed over edges)
-             + (n^2/8 - n/6) * #vertices,  exactly;
-
-    tested as 24 * #2-faces = 2 * interior + (3n^2 - 4n) * #vertices.
+             + (n^2/8 - n/6) * #vertices,  exactly.
     """
-    n = delta.dim
-    fvec = faces.f_vector()
+    return _face_count_holds(delta.dim, faces.f_vector(), chern_numbers(delta, faces)[1])
+
+
+def _face_count_holds(n: int, fvec, c1_cn1: int) -> bool:
+    """The face-count identity with c1_cn1 = interior + #edges, tested as
+    24 * #2-faces = 2 * interior + (3n^2 - 4n) * #vertices."""
     two_faces = fvec[2] if n >= 2 else 0
-    interior_total = sum(
-        edge_interior_points(
-            delta.vertices[e.vertex_indices[0]], delta.vertices[e.vertex_indices[1]]
-        )
-        for e in faces.faces(1)
-    )
-    return 24 * two_faces == 2 * interior_total + (3 * n * n - 4 * n) * fvec[0]
+    interior = c1_cn1 - fvec[1]
+    return 24 * two_faces == 2 * interior + (3 * n * n - 4 * n) * fvec[0]
 
 
-def toric_identity_report(
-    delta: FanoPolytope, faces: FaceLattice, inv: ToricInvariants
-) -> IdentityReport:
+def toric_identity_report(inv: ToricInvariants) -> IdentityReport:
     """Identity report for a smooth toric Fano given its computed invariants.
 
     The diamond is the diagonal one built from the Betti numbers, so for a
@@ -154,4 +149,5 @@ def toric_identity_report(
     report = check_betti_chern(
         HodgeDiamond.from_betti(inv.betti), inv.c1_cn1, inv.c_n
     )
-    return replace(report, face_count_ok=verify_face_count_identity(delta, faces))
+    face_count_ok = _face_count_holds(inv.n, inv.f_vector, inv.c1_cn1)
+    return replace(report, face_count_ok=face_count_ok)

@@ -1,20 +1,22 @@
-"""Topological invariants of a smooth toric Fano variety, read off the face
-lattice of its dual polytope.
+"""Topological invariants of a smooth toric Fano variety, computed twice:
+from the face lattice of its dual polytope and from its fan alone.
 
 The variety is a disjoint union of algebraic tori, one per nonempty face of
 the dual polytope, which turns the even Poincare polynomial into the face
 sum of (t-1)^dim and the two relevant Chern numbers into lattice counts:
 c_n is the vertex count and c_1*c_{n-1} sums (interior points + 1) over
-edges.
+edges.  The fan gives the same numbers from its cones and wall relations,
+with no dual polytope, so the two routes can disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .errors import ConsistencyError, NegativeCoefficient
-from .lattice import FaceLattice, FanoPolytope, edge_interior_points
+from .lattice import FaceLattice, FanoPolytope, _det, edge_interior_points, facet_incidences
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,13 @@ def poincare_polynomial(faces: FaceLattice) -> IntPolynomial:
     For a smooth reflexive dual polytope the coefficients are the even Betti
     numbers h^{2k} of the associated toric variety.
     """
-    fvec = faces.f_vector()
-    out = [0] * len(fvec)
-    for k, fk in enumerate(fvec):
+    return _strata_polynomial(faces.f_vector())
+
+
+def _strata_polynomial(counts) -> IntPolynomial:
+    """sum_k counts[k] * (t-1)^k, expanded in t."""
+    out = [0] * len(counts)
+    for k, fk in enumerate(counts):
         for j in range(k + 1):
             out[j] += fk * comb(k, j) * (-1) ** (k - j)
     return IntPolynomial.from_coeffs(out)
@@ -119,6 +125,49 @@ def chern_numbers(delta: FanoPolytope, faces: FaceLattice) -> tuple[int, int]:
     return c_top, c1_part
 
 
+def fan_invariants(P: FanoPolytope) -> tuple[tuple[int, ...], int, int]:
+    """(betti, c_n, c_1*c_{n-1}) of a smooth Fano polytope P's toric variety
+    from its fan alone: P's vertices and facet incidences, no dual polytope,
+    no facet normal, no face lattice (Fulton, Introduction to Toric
+    Varieties, sections 4.5 and 5.1).
+
+    The cones are the subsets of the facets; with c_k cones of dimension k
+    the Poincare polynomial is sum_k c_k (t-1)^(n-k), and c_n counts the
+    maximal cones.  Maximal cones a = w + {i} and b = w + {j} meeting in the
+    wall w give v_i + v_j + sum_{k in w} a_k v_k = 0, solved by integer
+    Cramer in b's unimodular basis; c_1*c_{n-1} sums 2 + sum a_k over walls.
+    """
+    n = P.dim
+    verts = P.vertices
+    facets = facet_incidences(P)
+    cones = {c for a in facets for k in range(n + 1) for c in combinations(sorted(a), k)}
+    counts = [0] * (n + 1)
+    for c in cones:
+        counts[n - len(c)] += 1
+    betti = _strata_polynomial(counts).coeffs
+
+    c1_cn1 = 0
+    half_walls: dict[frozenset[int], tuple[frozenset[int], int]] = {}
+    for a in facets:
+        for i in a:
+            wall = a - {i}
+            if wall not in half_walls:
+                half_walls[wall] = (a, i)
+                continue
+            b, j = half_walls.pop(wall)
+            order = sorted(b)
+            basis = [verts[k] for k in order]
+            det_b = _det(basis)
+            c1_cn1 += 2
+            for pos, k in enumerate(order):
+                if k != j:
+                    # v_i = sum_l x_l v_l over b, so a_k = -x_k
+                    rows = basis.copy()
+                    rows[pos] = verts[i]
+                    c1_cn1 -= _det(rows) // det_b
+    return betti, len(facets), c1_cn1
+
+
 def second_derivative_at_one(poly: IntPolynomial) -> int:
     """Exact value of d^2 p / dt^2 at t = 1."""
     return sum(k * (k - 1) * c for k, c in enumerate(poly.coeffs))
@@ -144,28 +193,18 @@ class ToricInvariants:
 def compute_invariants(delta: FanoPolytope, faces: FaceLattice) -> ToricInvariants:
     """Assemble all invariants from the dual polytope's face lattice.
 
-    The cross-identities that must hold for every smooth reflexive input
-    (palindromic Betti numbers, c_n = vertex count = value at 1, the edge
-    decomposition of c_1*c_{n-1}) are enforced here; a violation is a bug.
+    Malformed or non-palindromic Betti numbers raise ConsistencyError; for
+    a smooth reflexive input that is a bug.
     """
     n = delta.dim
     e_poly = poincare_polynomial(faces)
     betti = betti_numbers(e_poly)
-    fvec = faces.f_vector()
-    interior_total = sum(
-        edge_interior_points(delta.vertices[e.vertex_indices[0]], delta.vertices[e.vertex_indices[1]])
-        for e in faces.faces(1)
-    )
-    c_top, c1_part = chern_numbers(delta, faces)
-
     if len(betti) != n + 1 or betti[0] != 1:
         raise ConsistencyError(f"Betti list {betti} malformed for dimension {n}")
     if betti != betti[::-1]:
         raise ConsistencyError(f"Betti list {betti} is not palindromic")
-    if e_poly(1) != c_top or c_top != fvec[0]:
-        raise ConsistencyError("Euler number disagrees with dual vertex count")
-    if c1_part != interior_total + fvec[1]:
-        raise ConsistencyError("edge decomposition of c_1*c_{n-1} failed")
+    fvec = faces.f_vector()
+    c_top, c1_part = chern_numbers(delta, faces)
     return ToricInvariants(
         n=n,
         e_poly=e_poly,
@@ -173,5 +212,5 @@ def compute_invariants(delta: FanoPolytope, faces: FaceLattice) -> ToricInvarian
         c_n=c_top,
         c1_cn1=c1_part,
         f_vector=fvec,
-        edge_interior_total=interior_total,
+        edge_interior_total=c1_part - fvec[1],
     )

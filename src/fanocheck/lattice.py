@@ -163,9 +163,6 @@ class Halfspace:
     normal: LatticePoint
     offset: int
 
-    def contains(self, point: LatticePoint) -> bool:
-        return _dot(self.normal, point) <= self.offset
-
 
 @dataclass(frozen=True)
 class Face:

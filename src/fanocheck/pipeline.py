@@ -1,9 +1,9 @@
 """End-to-end checking pipeline and machine-readable reports.
 
 A polytope input runs validate -> dual -> face lattice -> invariants ->
-identity verifications plus the internal consistency suite; a diamond input
-runs the diamond-mode verifications.  Reports serialize rationals as "p/q"
-strings so nothing is rounded.
+identity verifications, and checks the invariants against the fan; a
+diamond input runs the diamond-mode verifications.  Reports serialize
+rationals as "p/q" strings so nothing is rounded.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from .files import DiamondFile, decode_text, loads_diamond, loads_polytope
 from .invariants import (
     ToricInvariants,
     compute_invariants,
-    second_derivative_at_one,
+    fan_invariants,
+    second_derivative_at_one,  # unused here; bench/tracer.py rebinds it
 )
 from .lattice import (
     FaceLattice,
     FanoPolytope,
-    Halfspace,
     _HULLS,
     face_lattice,
     facet_enumeration,
@@ -60,9 +60,7 @@ class ToricAnalysis:
     """Everything computed for one validated smooth toric Fano polytope."""
 
     polytope: FanoPolytope
-    facets: tuple[Halfspace, ...]
     delta: FanoPolytope
-    polytope_faces: FaceLattice
     delta_faces: FaceLattice
     invariants: ToricInvariants
     report: idmod.IdentityReport
@@ -73,37 +71,22 @@ class ToricAnalysis:
 def analyze(P: FanoPolytope) -> ToricAnalysis:
     """Run the full pipeline on P; raises NotReflexive / NotSmooth early.
 
+    The invariants come from the dual's face lattice; consistency records
+    whether the fan of P, read without the dual, gives the same ones.
     Results are cached per polytope (everything involved is immutable).
     """
-    facets = facet_enumeration(P)
     delta = polar_dual(P)  # also raises NotReflexive / NotSmooth
     delta_faces = face_lattice(delta)
-    p_faces = face_lattice(P)
     inv = compute_invariants(delta, delta_faces)
-    report = idmod.toric_identity_report(delta, delta_faces, inv)
-
-    n = P.dim
-    fP = p_faces.f_vector()
-    fD = delta_faces.f_vector()
-    two_f2 = 2 * (fD[2] if n >= 2 else 0)
-    consistency = {
-        "second_derivative": second_derivative_at_one(inv.e_poly) == two_f2,
-        "hrr_derivative": Fraction(two_f2)
-        == Fraction(inv.c1_cn1, 6)
-        + (Fraction(n * n, 4) - Fraction(5 * n, 12)) * inv.c_n,
-        "edge_count": Fraction(fD[1]) == Fraction(n, 2) * fD[0],
-        "face_duality": all(fD[k] == fP[n - 1 - k] for k in range(n)),
-        "euler": inv.e_poly(1) == sum(inv.betti) == inv.c_n,
-    }
     return ToricAnalysis(
         polytope=P,
-        facets=facets,
         delta=delta,
-        polytope_faces=p_faces,
         delta_faces=delta_faces,
         invariants=inv,
-        report=report,
-        consistency=consistency,
+        report=idmod.toric_identity_report(inv),
+        consistency={
+            "fan_vs_dual": fan_invariants(P) == (inv.betti, inv.c_n, inv.c1_cn1)
+        },
     )
 
 
@@ -339,16 +322,11 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     pipeline runs.
     """
     name = str(path)
+    is_diamond = mode == "diamond"
     try:
         with open(path, "rb") as f:
             data = f.read()
-    except OSError as exc:
-        return EntryReport(
-            name, "toric", CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}"
-        )
-
-    is_diamond = mode == "diamond" or (mode == "auto" and data.lstrip().startswith(b"{"))
-    try:
+        is_diamond = is_diamond or (mode == "auto" and data.lstrip().startswith(b"{"))
         text = decode_text(data)
         if is_diamond:
             if dual:
@@ -358,20 +336,11 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
         if dual:
             P = reflexive_dual(P)
         return check_polytope(P, name)
-    except ParseError as exc:
-        return EntryReport(
-            name,
-            "diamond" if is_diamond else "toric",
-            CheckStatus.PARSE_ERROR,
-            error=f"ParseError: {exc}",
-        )
+    except (OSError, ParseError) as exc:
+        status, error = CheckStatus.PARSE_ERROR, f"ParseError: {exc}"
     except ValidationError as exc:
-        return EntryReport(
-            name,
-            "diamond" if is_diamond else "toric",
-            CheckStatus.VALIDATION_ERROR,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        status, error = CheckStatus.VALIDATION_ERROR, f"{type(exc).__name__}: {exc}"
+    return EntryReport(name, "diamond" if is_diamond else "toric", status, error=error)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from fanocheck import (
     defect,
     dim2_corpus,
     dumps_polytope,
+    face_lattice,
     gen_direct_sum,
     gen_pn,
     is_reflexive,
@@ -185,7 +186,7 @@ def test_criterion_6_internal_consistency():
             inv = analysis.invariants
             n = P.dim
             fD = analysis.delta_faces.f_vector()
-            fP = analysis.polytope_faces.f_vector()
+            fP = face_lattice(P).f_vector()
             two_faces = fD[2] if n >= 2 else 0
             assert second_derivative_at_one(inv.e_poly) == 2 * two_faces, name
             assert Fraction(2 * two_faces) == Fraction(inv.c1_cn1, 6) + (

@@ -75,6 +75,12 @@ class TestDiamondCommand:
         result = runner.invoke(main, ["diamond", str(FIXTURES / "p2.poly")])
         assert result.exit_code == 2
 
+    def test_unreadable_path_stays_in_diamond_mode(self, runner):
+        result = runner.invoke(main, ["diamond", str(FIXTURES)])
+        assert result.exit_code == 2
+        assert f"== {FIXTURES} (diamond) ==" in result.output
+        assert "ParseError" in result.output
+
 
 class TestBatch:
     def test_mixed_directory(self, runner):

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from fanocheck import (
+    FanoPolytope,
     IntPolynomial,
     betti_numbers,
     chern_numbers,
     compute_invariants,
     dim2_corpus,
     face_lattice,
+    fan_invariants,
     gen_direct_sum,
     gen_pn,
     poincare_polynomial,
@@ -19,10 +21,20 @@ from fanocheck import (
 )
 from fanocheck.errors import NegativeCoefficient
 
+from test_acceptance import product_family
+
 
 def dual_and_faces(P):
     delta = polar_dual(P)
     return delta, face_lattice(delta)
+
+
+def dp6_power(k):
+    dp6 = next(e.polytope for e in dim2_corpus() if e.name == "Bl3P2")
+    P = dp6
+    for _ in range(k - 1):
+        P = gen_direct_sum(P, dp6)
+    return P
 
 
 def corpus_polytopes():
@@ -184,3 +196,38 @@ class TestComputeInvariants:
             assert inv.betti == (1,) * (n + 1)
             assert inv.c_n == n + 1
             assert inv.c1_cn1 == n * (n + 1) ** 2 // 2
+
+
+class TestFanInvariants:
+    """The fan side shares only P's facet incidences and the (t-1)
+    expansion with the dual side, so a corrupted dual makes them disagree."""
+
+    @staticmethod
+    def dual_side(P):
+        inv = compute_invariants(*dual_and_faces(P))
+        return inv.betti, inv.c_n, inv.c1_cn1
+
+    def test_agrees_with_dual_side(self):
+        polytopes = [e.polytope for e in dim2_corpus()]
+        polytopes += [gen_pn(n) for n in range(1, 9)]
+        polytopes += [P for _, P in product_family()]
+        polytopes += [dp6_power(2), dp6_power(3)]
+        for P in polytopes:
+            assert fan_invariants(P) == self.dual_side(P), P.vertices
+
+    def test_pinned_values(self):
+        assert fan_invariants(gen_pn(2)) == ((1, 1, 1), 3, 9)
+        assert fan_invariants(dp6_power(2)) == ((1, 8, 18, 8, 1), 36, 72)
+        assert fan_invariants(dp6_power(3)) == ((1, 12, 51, 88, 51, 12, 1), 216, 648)
+
+    def test_moved_dual_vertex_disagrees(self):
+        # Moving one vertex of the dual along an edge doubles that edge's
+        # lattice length: the dual side counts 73, the fan still 72.
+        P = dp6_power(2)
+        delta, faces = dual_and_faces(P)
+        i, j = faces.faces(1)[0].vertex_indices
+        verts = list(delta.vertices)
+        verts[j] = tuple(2 * b - a for a, b in zip(verts[i], verts[j]))
+        inv = compute_invariants(FanoPolytope(delta.dim, tuple(verts)), faces)
+        assert (inv.betti, inv.c_n) == fan_invariants(P)[:2]
+        assert (inv.c1_cn1, fan_invariants(P)[2]) == (73, 72)

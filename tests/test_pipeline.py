@@ -330,4 +330,4 @@ class TestAnalyzeCaching:
         from fanocheck import gen_direct_sum, gen_pn
 
         for P in (gen_pn(2), gen_pn(4), gen_direct_sum(gen_pn(2), gen_pn(2))):
-            assert all(analyze(P).consistency.values())
+            assert analyze(P).consistency == {"fan_vs_dual": True}
