@@ -34,8 +34,10 @@ from .invariants import (
     fan_invariants,
     poincare_polynomial,
     second_derivative_at_one,
+    toric_invariants,
 )
 from .lattice import (
+    Cone,
     Face,
     FaceLattice,
     FanoPolytope,
@@ -43,6 +45,7 @@ from .lattice import (
     LatticePoint,
     edge_interior_points,
     face_lattice,
+    facet_cones,
     facet_enumeration,
     facet_incidences,
     is_reflexive,

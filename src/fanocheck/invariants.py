@@ -1,12 +1,15 @@
-"""Topological invariants of a smooth toric Fano variety, computed twice:
-from the face lattice of its dual polytope and from its fan alone.
+"""Topological invariants of a smooth toric Fano variety.
 
-The variety is a disjoint union of algebraic tori, one per nonempty face of
-the dual polytope, which turns the even Poincare polynomial into the face
-sum of (t-1)^dim and the two relevant Chern numbers into lattice counts:
-c_n is the vertex count and c_1*c_{n-1} sums (interior points + 1) over
-edges.  The fan gives the same numbers from its cones and wall relations,
-with no dual polytope, so the two routes can disagree.
+The pipeline reads them in time polynomial in the number of facets, in two
+ways that can disagree: the Betti numbers and the degree c_1 . C of each
+torus-invariant curve from the fan (one integer inverse per maximal cone),
+and each such degree again as the lattice length of an edge of the dual
+polytope, with the edges and 2-faces counted from the facet incidences.
+
+The face-lattice derivation (the variety is a disjoint union of tori, one
+per face of the dual polytope, so the Poincare polynomial is the face sum
+of (t-1)^dim) stays as a library function and as the tests' reference; it
+is exponential in the dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from itertools import combinations
 from math import comb
 
 from .errors import ConsistencyError, NegativeCoefficient
-from .lattice import FaceLattice, FanoPolytope, _det, edge_interior_points, facet_incidences
+from .lattice import (
+    FaceLattice,
+    FanoPolytope,
+    _content,
+    _dot,
+    edge_interior_points,
+    facet_cones,
+    facet_incidences,
+)
 
 
 @dataclass(frozen=True)
@@ -125,47 +136,65 @@ def chern_numbers(delta: FanoPolytope, faces: FaceLattice) -> tuple[int, int]:
     return c_top, c1_part
 
 
-def fan_invariants(P: FanoPolytope) -> tuple[tuple[int, ...], int, int]:
-    """(betti, c_n, c_1*c_{n-1}) of a smooth Fano polytope P's toric variety
-    from its fan alone: P's vertices and facet incidences, no dual polytope,
-    no facet normal, no face lattice (Fulton, Introduction to Toric
-    Varieties, sections 4.5 and 5.1).
+def _walls(facets) -> list[tuple[int, int, int, int]]:
+    """One (a, i, b, j) per wall of a simplicial fan: facets a and b share
+    every vertex but i, which only a holds, and j, which only b holds."""
+    walls = []
+    half_walls: dict[frozenset[int], tuple[int, int]] = {}
+    for a, inc in enumerate(facets):
+        for i in inc:
+            wall = inc - {i}
+            if wall in half_walls:
+                b, j = half_walls.pop(wall)
+                walls.append((a, i, b, j))
+            else:
+                half_walls[wall] = (a, i)
+    return walls
 
-    The cones are the subsets of the facets; with c_k cones of dimension k
-    the Poincare polynomial is sum_k c_k (t-1)^(n-k), and c_n counts the
-    maximal cones.  Maximal cones a = w + {i} and b = w + {j} meeting in the
-    wall w give v_i + v_j + sum_{k in w} a_k v_k = 0, solved by integer
-    Cramer in b's unimodular basis; c_1*c_{n-1} sums 2 + sum a_k over walls.
+
+def _fan_side(P: FanoPolytope, walls) -> tuple[tuple[int, ...], list[int]]:
+    """(betti, degrees) from P's vertices and the inverses B^-1 of its
+    maximal cones' bases (the rows of B are the cone's vertices); degrees
+    holds c_1 . C for the curve C of each wall, in the order of walls.
+
+    Betti numbers by Bialynicki-Birula index counting (Fulton, Introduction
+    to Toric Varieties, section 5.2): write w = (1, M, ..., M^(n-1)) as
+    lambda = w B^-1 in each cone's basis; b_{2k} counts the cones with
+    exactly k negative lambda_i.  With M one more than every |entry| of
+    every inverse, each lambda_i is a nonzero integer polynomial in M with
+    coefficients below M, so it is never 0 and w is generic.
+
+    Across the wall between the cones a = t + {i} and b = t + {j},
+    x = v_i B_b^-1 writes v_i in b's basis, so x_j = -1 and x_k = -a_k in
+    the wall relation v_i + v_j + sum_k a_k v_k = 0, and
+    c_1 . C = 2 + sum_k a_k = 2 - sum_{k != j} x_k (Fulton, section 5.1).
     """
     n = P.dim
     verts = P.vertices
-    facets = facet_incidences(P)
-    cones = {c for a in facets for k in range(n + 1) for c in combinations(sorted(a), k)}
-    counts = [0] * (n + 1)
-    for c in cones:
-        counts[n - len(c)] += 1
-    betti = _strata_polynomial(counts).coeffs
+    cones = facet_cones(P)
+    columns = [list(zip(*c.inverse)) for c in cones]
+    M = 1 + max(abs(a) for c in cones for row in c.inverse for a in row)
+    w = [M**k for k in range(n)]
+    betti = [0] * (n + 1)
+    for cols in columns:
+        betti[sum(1 for col in cols if _dot(w, col) < 0)] += 1
 
-    c1_cn1 = 0
-    half_walls: dict[frozenset[int], tuple[frozenset[int], int]] = {}
-    for a in facets:
-        for i in a:
-            wall = a - {i}
-            if wall not in half_walls:
-                half_walls[wall] = (a, i)
-                continue
-            b, j = half_walls.pop(wall)
-            order = sorted(b)
-            basis = [verts[k] for k in order]
-            det_b = _det(basis)
-            c1_cn1 += 2
-            for pos, k in enumerate(order):
-                if k != j:
-                    # v_i = sum_l x_l v_l over b, so a_k = -x_k
-                    rows = basis.copy()
-                    rows[pos] = verts[i]
-                    c1_cn1 -= _det(rows) // det_b
-    return betti, len(facets), c1_cn1
+    degrees = []
+    for _, i, b, j in walls:
+        x = [_dot(verts[i], col) for col in columns[b]]
+        degrees.append(2 - sum(x) + x[cones[b].indices.index(j)])
+    return tuple(betti), degrees
+
+
+def fan_invariants(P: FanoPolytope) -> tuple[tuple[int, ...], int, int]:
+    """(betti, c_n, c_1*c_{n-1}) of a smooth Fano polytope P's toric variety
+    from its fan alone: P's vertices and facet incidences, one integer
+    inverse per maximal cone, no dual polytope and no face lattice.
+    c_n counts the maximal cones, and c_1*c_{n-1} sums c_1 . C over the
+    curves C, one per wall."""
+    facets = facet_incidences(P)
+    betti, degrees = _fan_side(P, _walls(facets))
+    return betti, len(facets), sum(degrees)
 
 
 def second_derivative_at_one(poly: IntPolynomial) -> int:
@@ -182,7 +211,6 @@ class ToricInvariants:
     """
 
     n: int
-    e_poly: IntPolynomial
     betti: tuple[int, ...]
     c_n: int
     c1_cn1: int
@@ -190,24 +218,75 @@ class ToricInvariants:
     edge_interior_total: int
 
 
+def _check_betti(betti, n: int) -> None:
+    """Raise ConsistencyError on Betti numbers no smooth reflexive input
+    can have: for such an input that is a bug."""
+    if len(betti) != n + 1 or betti[0] != 1:
+        raise ConsistencyError(f"Betti list {betti} malformed for dimension {n}")
+    if betti != betti[::-1]:
+        raise ConsistencyError(f"Betti list {betti} is not palindromic")
+
+
+def _h_to_f(h) -> tuple[int, ...]:
+    """f-vector of a simple polytope from its h-vector:
+    f_k = sum_i C(i, k) h_i (Ziegler, Lectures on Polytopes, ch. 8)."""
+    return tuple(sum(comb(i, k) * hi for i, hi in enumerate(h)) for k in range(len(h)))
+
+
+def toric_invariants(P: FanoPolytope, delta: FanoPolytope) -> tuple[ToricInvariants, bool]:
+    """All invariants of a smooth Fano polytope P with dual delta, and
+    whether their two derivations agree.
+
+    The fan side gives the Betti numbers and, per wall, the degree
+    c_1 . C of the wall's curve; the reported f-vector is the h -> f
+    transform of the Betti numbers, and c_n the facet count.  The dual side
+    reads delta's vertices (the negated facet normals of P) and P's
+    incidences only: the wall between facets a and b is the edge
+    [u_a, u_b] of delta, whose lattice length gcd(u_a - u_b) is the same
+    degree, and c_1*c_{n-1} is their sum; the edges (walls) and 2-faces
+    (distinct (n-2)-subsets of facets) are counted directly.  The two
+    sides agree when the degrees match wall by wall and the counted f_1
+    and f_2 equal the transform's.  f_0 and c_n are the facet count on
+    both sides by construction, so they are not compared.
+    """
+    n = P.dim
+    facets = facet_incidences(P)
+    walls = _walls(facets)
+    betti, degrees = _fan_side(P, walls)
+    _check_betti(betti, n)
+    fvec = _h_to_f(betti)
+
+    u = delta.vertices
+    lengths = [_content([x - y for x, y in zip(u[a], u[b])]) for a, _, b, _ in walls]
+    two_faces = {inc - pair for inc in facets for pair in map(frozenset, combinations(inc, 2))}
+    counted = (len(walls), len(two_faces))
+    consistent = degrees == lengths and counted == (fvec[1], fvec[2] if n >= 2 else 0)
+    c1_cn1 = sum(lengths)
+    inv = ToricInvariants(
+        n=n,
+        betti=betti,
+        c_n=len(facets),
+        c1_cn1=c1_cn1,
+        f_vector=fvec,
+        edge_interior_total=c1_cn1 - fvec[1],
+    )
+    return inv, consistent
+
+
 def compute_invariants(delta: FanoPolytope, faces: FaceLattice) -> ToricInvariants:
-    """Assemble all invariants from the dual polytope's face lattice.
+    """Assemble all invariants from the dual polytope's face lattice: the
+    reference derivation, exponential in n, that the pipeline no longer runs.
 
     Malformed or non-palindromic Betti numbers raise ConsistencyError; for
     a smooth reflexive input that is a bug.
     """
     n = delta.dim
-    e_poly = poincare_polynomial(faces)
-    betti = betti_numbers(e_poly)
-    if len(betti) != n + 1 or betti[0] != 1:
-        raise ConsistencyError(f"Betti list {betti} malformed for dimension {n}")
-    if betti != betti[::-1]:
-        raise ConsistencyError(f"Betti list {betti} is not palindromic")
+    betti = betti_numbers(poincare_polynomial(faces))
+    _check_betti(betti, n)
     fvec = faces.f_vector()
     c_top, c1_part = chern_numbers(delta, faces)
     return ToricInvariants(
         n=n,
-        e_poly=e_poly,
         betti=betti,
         c_n=c_top,
         c1_cn1=c1_part,

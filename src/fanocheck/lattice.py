@@ -1,21 +1,24 @@
 """Exact integer lattice geometry for Fano polytopes.
 
 Vertices are tuples of Python ints, so every computation here is exact at
-arbitrary precision.  Facet enumeration is a brute-force scan over all
-n-element vertex subsets with exact sidedness tests; for the polytopes this
-package targets (a few dozen vertices, dimension <= 8) that is fast enough
-and has no failure modes.
+arbitrary precision.  Facets are found by integer double description, in
+time polynomial in the number of vertices and facets for a fixed dimension.
 
 Each polytope is scanned at most once, and its hull is kept in a
-module-level store.  The dual of a reflexive polytope is never scanned:
-its facets are the polytope's vertices, with the incidences transposed,
-so `reflexive_dual` records its hull straight from the polytope's.
+module-level store, together with one fraction-free inverse per simplex
+facet once smoothness or the fan is asked for.  The dual of a reflexive
+polytope is never scanned: its facets are the polytope's vertices, with the
+incidences transposed, so `reflexive_dual` records its hull straight from
+the polytope's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import cached_property
+# Not called here any more; bench/tracer.py rebinds it, and its traced run
+# stops when it is missing.
+from itertools import combinations  # noqa: F401
 from math import gcd
 
 from .errors import (
@@ -49,111 +52,88 @@ def _content(u) -> int:
     return g
 
 
-def _det_bareiss(rows) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
+def _adjugate(rows) -> tuple[int, list[list[int]]]:
+    """(det B, adj B) by one fraction-free Gauss-Jordan elimination on [B | I].
+
+    Every division is exact (Bareiss).  The elimination ends at
+    [d I | d B^-1], d the determinant of B with its rows swapped into
+    pivot order, so adj B = det B * B^-1 is the right block up to the swap
+    sign.  A singular B gives (0, []).
+    """
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if swap is None:
-                return 0
+                return 0, []
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+        row_k = m[k]
+        pivot = row_k[k]
+        for i in range(n):
+            lead = m[i][k]
+            # a row with lead 0 is only scaled by pivot / prev
+            if i != k and (lead or pivot != prev):
+                m[i] = [(pivot * a - lead * b) // prev for a, b in zip(m[i], row_k)]
         prev = pivot
-    return sign * m[-1][-1]
+    return sign * prev, [[sign * a for a in row[n:]] for row in m]
 
 
-def _det(rows) -> int:
-    """Exact integer determinant; sizes <= 4 are unrolled for speed."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 4:
-        # Laplace expansion along the first two rows.
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
-        p01 = a0 * b1 - a1 * b0
-        p02 = a0 * b2 - a2 * b0
-        p03 = a0 * b3 - a3 * b0
-        p12 = a1 * b2 - a2 * b1
-        p13 = a1 * b3 - a3 * b1
-        p23 = a2 * b3 - a3 * b2
-        q01 = c0 * d1 - c1 * d0
-        q02 = c0 * d2 - c2 * d0
-        q03 = c0 * d3 - c3 * d0
-        q12 = c1 * d2 - c2 * d1
-        q13 = c1 * d3 - c3 * d1
-        q23 = c2 * d3 - c3 * d2
-        return p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
-    return _det_bareiss(rows)
+def _independent(rows, limit: int) -> list[int]:
+    """Indices of a maximal linearly independent subset of the rows, taken
+    greedily in order, stopping once `limit` are found.  Exact: each row is
+    reduced against the ones kept by cross-multiplication, then divided by
+    its content, so entries stay small."""
+    chosen: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []
+    for idx, row in enumerate(rows):
+        for col, pivot_row in echelon:
+            lead = row[col]
+            if lead:
+                p = pivot_row[col]
+                row = [p * a - lead * b for a, b in zip(row, pivot_row)]
+        col = next((c for c, a in enumerate(row) if a), None)
+        if col is not None:
+            g = _content(row)
+            echelon.append((col, [a // g for a in row]))
+            chosen.append(idx)
+            if len(chosen) == limit:
+                break
+    return chosen
 
 
 def _int_rank(rows) -> int:
-    """Rank of an integer matrix, by exact cross-multiplication elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead_row = m[rank]
-        a = lead_row[col]
-        for i in range(rank + 1, nrows):
-            b = m[i][col]
-            if b:
-                m[i] = [a * y - b * x for x, y in zip(lead_row, m[i])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of an integer matrix."""
+    return len(_independent(rows, len(rows[0]))) if rows else 0
 
 
 def _affine_rank(points) -> int:
     """Dimension of the affine span of the given lattice points."""
+    return len(_affine_basis(points)) - 1
+
+
+def _affine_basis(points) -> list[int]:
+    """Indices of a maximal affinely independent subset of the points,
+    taken greedily in order (so its size is the affine rank plus one)."""
     base = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    return _int_rank(diffs)
+    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return [0] + [i + 1 for i in _independent(diffs, len(base))]
 
 
-def _normal_through(points):
-    """Primitive normal of the affine hyperplane spanned by n points in Z^n.
-
-    Returns None when the points are affinely dependent.  The sign of the
-    result is arbitrary; callers orient it by sidedness.
-    """
-    base = points[0]
-    rows = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    n = len(base)
-    u = []
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows]
-        u.append(sign * _det(minor))
-        sign = -sign
-    g = _content(u)
-    if g == 0:
-        return None
-    return tuple(a // g for a in u)
+def _adjacent(common: int, tights) -> bool:
+    """Combinatorial adjacency test of double description: two rays whose
+    tight sets meet in `common` are adjacent when no third ray's tight set
+    contains `common` (the two rays themselves always do)."""
+    count = 0
+    for t in tights:
+        if t & common == common:
+            count += 1
+            if count > 2:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -231,11 +211,45 @@ class FanoPolytope:
 
 
 @dataclass(frozen=True)
+class Cone:
+    """A simplex facet of P seen as a maximal cone of P's fan.
+
+    indices are the facet's vertex indices in increasing order, det is the
+    determinant of the matrix B whose rows are those vertices, and inverse
+    is B^-1 (as rows) when det is +/-1, else None.
+    """
+
+    indices: tuple[int, ...]
+    det: int
+    inverse: tuple[tuple[int, ...], ...] | None
+
+
+@dataclass(frozen=True)
 class _Hull:
     """Facet halfspaces plus, per facet, the incident vertex indices."""
 
     halfspaces: tuple[Halfspace, ...]
     incidences: tuple[frozenset[int], ...]
+    vertices: tuple[LatticePoint, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def cones(self) -> tuple[Cone | None, ...]:
+        """Per facet, its Cone, or None when the facet is not a simplex:
+        one elimination per facet, on first use, kept with the hull."""
+        n = len(self.vertices[0])
+        out: list[Cone | None] = []
+        for inc in self.incidences:
+            if len(inc) != n:
+                out.append(None)
+                continue
+            indices = tuple(sorted(inc))
+            det, adj = _adjugate([self.vertices[i] for i in indices])
+            inverse = None
+            if det in (1, -1):
+                # B^-1 = adj B / det, and 1 / det = det
+                inverse = tuple(tuple(det * a for a in row) for row in adj)
+            out.append(Cone(indices, det, inverse))
+        return tuple(out)
 
 
 _HULLS: dict[FanoPolytope, _Hull] = {}
@@ -250,44 +264,62 @@ def _hull(P: FanoPolytope) -> _Hull:
 
 
 def _scan(P: FanoPolytope) -> _Hull:
-    """Facets of P by the exhaustive scan over n-subsets of its vertices."""
+    """Facets of P by integer double description (Motzkin et al. 1953;
+    Fukuda and Prodon, "Double description method revisited", 1996).
+
+    The facets are the extreme rays of the cone of (u, c) with
+    <u, v> - c <= 0 for every vertex v.  It starts as the simplicial cone
+    of n + 1 affinely independent vertices, and each further vertex's
+    inequality is added in turn: the rays it cuts off are dropped, and
+    every adjacent pair on opposite sides is combined into a ray on its
+    hyperplane, tight on the pair's shared vertices and the new one.
+    Rays are kept primitive, with their tight vertex sets as bitmasks.
+    """
     verts = P.vertices
     n = P.dim
     nv = len(verts)
-    if _affine_rank(verts) < n:
+    basis = _affine_basis(verts)
+    if len(basis) <= n:
         raise DegenerateInput("vertices do not affinely span the ambient space")
 
-    halfspaces: list[Halfspace] = []
-    incidences: list[frozenset[int]] = []
-    for subset in combinations(range(nv), n):
-        # Subsets of an already-found facet span the same hyperplane.
-        if any(inc.issuperset(subset) for inc in incidences):
+    rows = [v + (-1,) for v in verts]
+    det, adj = _adjugate([rows[i] for i in basis])
+    in_basis = sum(1 << i for i in basis)
+    rays: list[tuple[LatticePoint, int]] = []
+    for k, i in enumerate(basis):
+        # rows @ (column k of adj) = det e_k, so up to sign that column is
+        # the ray tight on every basis vertex but the k-th
+        r = [row[k] if det < 0 else -row[k] for row in adj]
+        g = _content(r)
+        rays.append((tuple(a // g for a in r), in_basis & ~(1 << i)))
+    for j in range(nv):
+        if in_basis >> j & 1:
             continue
-        u = _normal_through([verts[i] for i in subset])
-        if u is None:
-            continue
-        c = _dot(u, verts[subset[0]])
-        pos = neg = False
-        on_plane = []
-        for idx in range(nv):
-            s = _dot(u, verts[idx]) - c
+        row = rows[j]
+        bit = 1 << j
+        kept, cut, inside = [], [], []
+        for ray, tight in rays:
+            s = _dot(row, ray)
             if s > 0:
-                pos = True
-                if neg:
-                    break
+                cut.append((ray, tight, s))
             elif s < 0:
-                neg = True
-                if pos:
-                    break
+                kept.append((ray, tight))
+                inside.append((ray, tight, s))
             else:
-                on_plane.append(idx)
-        if pos and neg:
-            continue
-        if pos:
-            u, c = _neg(u), -c
-        halfspaces.append(Halfspace(u, c))
-        incidences.append(frozenset(on_plane))
+                kept.append((ray, tight | bit))
+        tights = [t for _, t in rays]
+        for rp, tp, sp in cut:
+            for rq, tq, sq in inside:
+                common = tp & tq
+                if common.bit_count() < n - 1 or not _adjacent(common, tights):
+                    continue
+                r = [sp * b - sq * a for a, b in zip(rp, rq)]
+                g = _content(r)
+                kept.append((tuple(a // g for a in r), common | bit))
+        rays = kept
 
+    halfspaces = [Halfspace(r[:n], r[n]) for r, _ in rays]
+    incidences = [frozenset(i for i in range(nv) if t >> i & 1) for _, t in rays]
     if any(h.offset <= 0 for h in halfspaces):
         raise OriginNotInterior(
             "a facet inequality has offset <= 0; the origin is not strictly interior"
@@ -303,6 +335,7 @@ def _scan(P: FanoPolytope) -> _Hull:
     return _Hull(
         tuple(halfspaces[i] for i in order),
         tuple(incidences[i] for i in order),
+        verts,
     )
 
 
@@ -329,10 +362,10 @@ def is_reflexive(P: FanoPolytope) -> bool:
 def _smoothness_failure(P: FanoPolytope) -> str | None:
     """Why some facet of P is not a unimodular simplex, or None if none."""
     hull = _hull(P)
-    for h, inc in zip(hull.halfspaces, hull.incidences):
-        if len(inc) != P.dim:
+    for h, cone in zip(hull.halfspaces, hull.cones):
+        if cone is None:
             return f"facet with normal {h.normal} is not a simplex"
-        if abs(_det([P.vertices[i] for i in sorted(inc)])) != 1:
+        if cone.det not in (1, -1):
             return f"facet with normal {h.normal} has vertex determinant != +/-1"
     return None
 
@@ -363,8 +396,19 @@ def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
             frozenset(j for j, inc in enumerate(hull.incidences) if i in inc)
             for i in order
         ),
+        delta.vertices,
     )
     return delta
+
+
+def facet_cones(P: FanoPolytope) -> tuple[Cone, ...]:
+    """The maximal cones of the fan of a smooth P, aligned with
+    facet_enumeration; raises NotSmooth if some facet is not a unimodular
+    simplex."""
+    failure = _smoothness_failure(P)
+    if failure:
+        raise NotSmooth(failure)
+    return _hull(P).cones
 
 
 def polar_dual(P: FanoPolytope) -> FanoPolytope:
@@ -374,9 +418,7 @@ def polar_dual(P: FanoPolytope) -> FanoPolytope:
     it is then reflexive_dual(P), one vertex per facet of P.
     """
     delta = reflexive_dual(P)
-    failure = _smoothness_failure(P)
-    if failure:
-        raise NotSmooth(failure)
+    facet_cones(P)
     return delta
 
 

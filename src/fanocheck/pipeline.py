@@ -1,14 +1,17 @@
 """End-to-end checking pipeline and machine-readable reports.
 
-A polytope input runs validate -> dual -> face lattice -> invariants ->
-identity verifications, and checks the invariants against the fan; a
-diamond input runs the diamond-mode verifications.  Reports serialize
+A polytope input runs validate (hull, reflexive, smooth) -> dual ->
+invariants from the fan and the dual's vertices, checked against each
+other -> identity verifications; a diamond input runs the diamond-mode
+verifications.  Any exception that is not about the input is reported as
+an internal error, so a batch always runs to its end.  Reports serialize
 rationals as "p/q" strings so nothing is rounded.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,17 +23,10 @@ from . import identity as idmod
 from .diamond import chi_p, defect
 from .errors import DegenerateInput, ParseError, ValidationError
 from .files import DiamondFile, decode_text, loads_diamond, loads_polytope
-from .invariants import (
-    ToricInvariants,
-    compute_invariants,
-    fan_invariants,
-    second_derivative_at_one,  # unused here; bench/tracer.py rebinds it
-)
+from .invariants import ToricInvariants, toric_invariants
 from .lattice import (
-    FaceLattice,
     FanoPolytope,
     _HULLS,
-    face_lattice,
     facet_enumeration,
     is_reflexive,
     is_smooth,
@@ -38,12 +34,18 @@ from .lattice import (
     reflexive_dual,
 )
 
+# Not called here any more.  bench/tracer.py rebinds these three names (and
+# lattice.combinations), and its traced run stops when one is missing.
+from .invariants import compute_invariants, second_derivative_at_one  # noqa: F401
+from .lattice import face_lattice  # noqa: F401
+
 
 class CheckStatus(enum.Enum):
     OK = "ok"
     IDENTITY_VIOLATION = "identity_violation"
     VALIDATION_ERROR = "validation_error"
     PARSE_ERROR = "parse_error"
+    INTERNAL_ERROR = "internal_error"
 
     @property
     def exit_code(self) -> int:
@@ -52,6 +54,7 @@ class CheckStatus(enum.Enum):
             CheckStatus.IDENTITY_VIOLATION: 1,
             CheckStatus.VALIDATION_ERROR: 2,
             CheckStatus.PARSE_ERROR: 2,
+            CheckStatus.INTERNAL_ERROR: 3,
         }[self]
 
 
@@ -61,7 +64,6 @@ class ToricAnalysis:
 
     polytope: FanoPolytope
     delta: FanoPolytope
-    delta_faces: FaceLattice
     invariants: ToricInvariants
     report: idmod.IdentityReport
     consistency: dict[str, bool]
@@ -71,22 +73,18 @@ class ToricAnalysis:
 def analyze(P: FanoPolytope) -> ToricAnalysis:
     """Run the full pipeline on P; raises NotReflexive / NotSmooth early.
 
-    The invariants come from the dual's face lattice; consistency records
-    whether the fan of P, read without the dual, gives the same ones.
-    Results are cached per polytope (everything involved is immutable).
+    The invariants come from the fan of P and the vertices of its dual;
+    consistency records whether the two derivations agree.  Results are
+    cached per polytope (everything involved is immutable).
     """
     delta = polar_dual(P)  # also raises NotReflexive / NotSmooth
-    delta_faces = face_lattice(delta)
-    inv = compute_invariants(delta, delta_faces)
+    inv, consistent = toric_invariants(P, delta)
     return ToricAnalysis(
         polytope=P,
         delta=delta,
-        delta_faces=delta_faces,
         invariants=inv,
         report=idmod.toric_identity_report(inv),
-        consistency={
-            "fan_vs_dual": fan_invariants(P) == (inv.betti, inv.c_n, inv.c1_cn1)
-        },
+        consistency={"fan_vs_dual": consistent},
     )
 
 
@@ -313,7 +311,10 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
 
 
 def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
-    """Check one input file; never raises for expected input problems.
+    """Check one input file; no `Exception` escapes it.
+
+    A problem with the input is a parse or validation error; any other
+    exception is a fault of the program, reported as an internal error.
 
     mode "auto" treats files whose first nonblank byte is '{' as diamond
     JSON and everything else as a polytope file; a file that is not UTF-8
@@ -340,6 +341,9 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
         status, error = CheckStatus.PARSE_ERROR, f"ParseError: {exc}"
     except ValidationError as exc:
         status, error = CheckStatus.VALIDATION_ERROR, f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # a fault of the program, not of the input
+        logging.getLogger(__name__).exception("internal error while checking %s", name)
+        status, error = CheckStatus.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
     return EntryReport(name, "diamond" if is_diamond else "toric", status, error=error)
 
 
@@ -365,12 +369,8 @@ class RunReport:
 
     @property
     def exit_status(self) -> int:
-        counts = self.counts
-        if counts["errors"]:
-            return 2
-        if counts["identity_violations"]:
-            return 1
-        return 0
+        statuses = {e.status for e in self.entries}
+        return max((s.exit_code for s in statuses), default=0)
 
     def to_dict(self) -> dict:
         return {

@@ -4,6 +4,7 @@ import pytest
 
 from fanocheck import (
     FanoPolytope,
+    IntPolynomial,
     compute_invariants,
     dim2_corpus,
     face_lattice,
@@ -53,7 +54,7 @@ class TestDirectSum:
         assert len(S.vertices) == 5
         assert S.dim == 3
         inv = invariants_of(S)
-        assert inv.e_poly == poincare_polynomial(
+        assert IntPolynomial.from_coeffs(inv.betti) == poincare_polynomial(
             face_lattice(polar_dual(gen_pn(1)))
         ) * poincare_polynomial(face_lattice(polar_dual(gen_pn(2))))
 

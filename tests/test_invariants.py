@@ -1,6 +1,7 @@
 """Poincare polynomial, Betti numbers, Chern numbers, derivative checks."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,8 +19,10 @@ from fanocheck import (
     poincare_polynomial,
     polar_dual,
     second_derivative_at_one,
+    toric_invariants,
 )
-from fanocheck.errors import NegativeCoefficient
+from fanocheck.errors import DuplicateVertex, NegativeCoefficient, NonPrimitiveVertex, NotSmooth
+from fanocheck.lattice import _HULLS, _Hull, _hull
 
 from test_acceptance import product_family
 
@@ -171,7 +174,8 @@ class TestSecondDerivative:
             delta, faces = dual_and_faces(P)
             inv = compute_invariants(delta, faces)
             n = P.dim
-            assert Fraction(second_derivative_at_one(inv.e_poly)) == Fraction(
+            e_poly = IntPolynomial.from_coeffs(inv.betti)
+            assert Fraction(second_derivative_at_one(e_poly)) == Fraction(
                 inv.c1_cn1, 6
             ) + (Fraction(n * n, 4) - Fraction(5 * n, 12)) * inv.c_n
 
@@ -182,11 +186,11 @@ class TestComputeInvariants:
             delta, faces = dual_and_faces(P)
             inv = compute_invariants(delta, faces)
             assert inv.n == P.dim
-            assert inv.betti == inv.e_poly.coeffs
+            assert inv.betti == poincare_polynomial(faces).coeffs
             assert inv.betti == inv.betti[::-1]
             assert inv.betti[0] == 1
             assert all(b >= 0 for b in inv.betti)
-            assert inv.c_n == inv.e_poly(1) == inv.f_vector[0] == sum(inv.betti)
+            assert inv.c_n == inv.f_vector[0] == sum(inv.betti)
             assert inv.c1_cn1 == inv.edge_interior_total + inv.f_vector[1]
 
     def test_pn_closed_forms(self):
@@ -199,8 +203,8 @@ class TestComputeInvariants:
 
 
 class TestFanInvariants:
-    """The fan side shares only P's facet incidences and the (t-1)
-    expansion with the dual side, so a corrupted dual makes them disagree."""
+    """The fan side shares only P's facet incidences with the face-lattice
+    derivation, so a corrupted dual makes them disagree."""
 
     @staticmethod
     def dual_side(P):
@@ -231,3 +235,89 @@ class TestFanInvariants:
         inv = compute_invariants(FanoPolytope(delta.dim, tuple(verts)), faces)
         assert (inv.betti, inv.c_n) == fan_invariants(P)[:2]
         assert (inv.c1_cn1, fan_invariants(P)[2]) == (73, 72)
+
+
+class TestToricInvariants:
+    """The pipeline's derivation: Betti numbers and curve degrees from the
+    fan, edge lengths and face counts from the dual's vertices."""
+
+    def test_matches_face_lattice_derivation(self):
+        polytopes = [e.polytope for e in dim2_corpus()]
+        polytopes += [gen_pn(n) for n in range(1, 7)]
+        polytopes += [P for _, P in product_family()]
+        polytopes += [dp6_power(2)]
+        for P in polytopes:
+            delta, faces = dual_and_faces(P)
+            inv, consistent = toric_invariants(P, delta)
+            assert consistent, P.vertices
+            assert inv == compute_invariants(delta, faces), P.vertices
+
+    def test_values_at_scale(self):
+        for n in range(1, 17):
+            P = gen_pn(n)
+            inv, consistent = toric_invariants(P, polar_dual(P))
+            assert consistent
+            assert inv.betti == (1,) * (n + 1)
+            assert inv.c_n == n + 1
+            assert inv.c1_cn1 == n * (n + 1) ** 2 // 2
+            # the dual is a simplex
+            assert inv.f_vector == tuple(comb(n + 1, k + 1) for k in range(n + 1))
+        P = gen_pn(1)
+        for _ in range(7):
+            P = gen_direct_sum(P, gen_pn(1))
+        inv, consistent = toric_invariants(P, polar_dual(P))
+        assert consistent
+        assert inv.betti == tuple(comb(8, k) for k in range(9))
+        assert (inv.c_n, inv.c1_cn1) == (256, 2048)
+        # the dual is the 8-cube
+        assert inv.f_vector == tuple(comb(8, k) * 2 ** (8 - k) for k in range(9))
+        P = dp6_power(3)
+        inv, consistent = toric_invariants(P, polar_dual(P))
+        assert consistent
+        assert (inv.betti, inv.c_n, inv.c1_cn1) == ((1, 12, 51, 88, 51, 12, 1), 216, 648)
+
+    def test_moved_vertex_disagrees(self):
+        # Keep P's facets and incidences but move one coordinate of one
+        # vertex by +/-1.  Every move that leaves all cones unimodular
+        # changes some curve degree on the fan side, while the dual's edges
+        # keep their lengths, so the check reads false; the other valid
+        # moves make some cone singular.
+        polytopes = [e.polytope for e in dim2_corpus()]
+        polytopes += [gen_pn(3), gen_pn(4), gen_direct_sum(gen_pn(1), gen_pn(2))]
+        polytopes += [gen_direct_sum(gen_pn(2), gen_pn(2)), dp6_power(2)]
+        caught = singular = 0
+        for P in polytopes:
+            hull = _hull(P)
+            for i, v in enumerate(P.vertices):
+                for k in range(P.dim):
+                    for step in (1, -1):
+                        verts = list(P.vertices)
+                        verts[i] = v[:k] + (v[k] + step,) + v[k + 1 :]
+                        try:
+                            Q = FanoPolytope(P.dim, tuple(verts))
+                        except (NonPrimitiveVertex, DuplicateVertex):
+                            continue
+                        _HULLS[Q] = _Hull(hull.halfspaces, hull.incidences, Q.vertices)
+                        try:
+                            consistent = toric_invariants(Q, polar_dual(Q))[1]
+                        except NotSmooth:
+                            singular += 1
+                            continue
+                        finally:
+                            del _HULLS[Q]
+                        assert not consistent, (P.vertices, Q.vertices)
+                        caught += 1
+        assert (caught, singular) == (96, 120)
+
+    def test_moved_dual_vertex_disagrees(self):
+        # Moving a vertex of P4's dual by +/-1 in one coordinate changes the
+        # lattice length of an edge at it.
+        P = gen_pn(4)
+        delta = polar_dual(P)
+        for a, u in enumerate(delta.vertices):
+            for k in range(P.dim):
+                for step in (1, -1):
+                    verts = list(delta.vertices)
+                    verts[a] = u[:k] + (u[k] + step,) + u[k + 1 :]
+                    moved = FanoPolytope(P.dim, tuple(verts))
+                    assert not toric_invariants(P, moved)[1], verts

@@ -31,7 +31,7 @@ from fanocheck.errors import (
     OriginNotInterior,
     RedundantVertex,
 )
-from fanocheck.lattice import _HULLS, _affine_rank, _det, _det_bareiss, _dot, _hull, _scan
+from fanocheck.lattice import _HULLS, _adjugate, _affine_rank, _dot, _hull, _scan
 
 from conftest import (
     apply_matrix,
@@ -347,6 +347,19 @@ class TestEdgeInteriorPoints:
         assert forward == oracle_segment_interior(a, b)
 
 
+def check_adjugate(rows):
+    det, adj = _adjugate(rows)
+    assert det == oracle_det(rows)
+    if det == 0:
+        assert adj == []
+        return
+    n = len(rows)
+    # B adj(B) = det(B) I
+    for i in range(n):
+        for j in range(n):
+            assert sum(rows[i][k] * adj[k][j] for k in range(n)) == det * (i == j)
+
+
 class TestDeterminants:
     @given(
         st.lists(
@@ -355,8 +368,8 @@ class TestDeterminants:
             max_size=4,
         )
     )
-    def test_det4_unrolled_matches_permutation_expansion(self, rows):
-        assert _det(rows) == oracle_det(rows)
+    def test_adjugate4_matches_permutation_expansion(self, rows):
+        check_adjugate(rows)
 
     @given(
         st.lists(
@@ -366,4 +379,11 @@ class TestDeterminants:
         )
     )
     def test_bareiss_matches_permutation_expansion(self, rows):
-        assert _det_bareiss(rows) == oracle_det(rows)
+        check_adjugate(rows)
+
+    def test_unimodular_without_unit_entry(self):
+        # No entry of the first column is +/-1, so +/-1 pivots would not do.
+        assert _adjugate([[2, 3], [3, 5]]) == (1, [[5, -3], [-3, 2]])
+
+    def test_row_swap_sign(self):
+        assert _adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])

@@ -17,7 +17,9 @@ from fanocheck import (
     run_batch,
     run_check,
 )
-from fanocheck.pipeline import analyze, dumps_json
+from fanocheck import pipeline
+from fanocheck.errors import ConsistencyError
+from fanocheck.pipeline import analyze, clear_caches, dumps_json
 
 from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond
 
@@ -210,6 +212,23 @@ class TestRunBatch:
         assert report.exit_status == 2
         assert json.loads(report.to_json())["aggregate"]["errors"] == 1
 
+    def test_internal_error_does_not_abort_batch(self, tmp_path, monkeypatch, caplog):
+        def broken(P):
+            raise ConsistencyError("Betti list (1, 2) is not palindromic")
+
+        monkeypatch.setattr(pipeline, "analyze", broken)
+        for name in ("p2.poly", "k3.json"):
+            (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+        report = run_batch([tmp_path])
+        k3, p2 = report.entries
+        assert p2.status is CheckStatus.INTERNAL_ERROR
+        assert p2.error == "ConsistencyError: Betti list (1, 2) is not palindromic"
+        assert k3.status is CheckStatus.OK
+        assert report.counts["errors"] == 1
+        assert report.exit_status == CheckStatus.INTERNAL_ERROR.exit_code == 3
+        # the traceback goes to the log
+        assert [r.exc_info[0] for r in caplog.records] == [ConsistencyError]
+
     def test_entries_just_below_the_bound_pass(self, tmp_path):
         path = tmp_path / "top.json"
         path.write_text(corner_diamond(10**4000 - 1))
@@ -331,3 +350,22 @@ class TestAnalyzeCaching:
 
         for P in (gen_pn(2), gen_pn(4), gen_direct_sum(gen_pn(2), gen_pn(2))):
             assert analyze(P).consistency == {"fan_vs_dual": True}
+
+    def test_one_elimination_per_facet(self, monkeypatch):
+        # Smoothness and the fan side share each facet's inverse: one
+        # check_polytope eliminates once per facet, plus once to start
+        # the hull.
+        from fanocheck import check_polytope, facet_enumeration, gen_pn, lattice
+
+        calls = []
+        real = lattice._adjugate
+
+        def counted(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(lattice, "_adjugate", counted)
+        clear_caches()
+        P = gen_pn(5)
+        assert check_polytope(P, "P5").passed
+        assert len(calls) == len(facet_enumeration(P)) + 1
