@@ -31,7 +31,6 @@ from .invariants import (
     betti_numbers,
     chern_numbers,
     compute_invariants,
-    fan_invariants,
     poincare_polynomial,
     second_derivative_at_one,
     toric_invariants,

@@ -186,17 +186,6 @@ def _fan_side(P: FanoPolytope, walls) -> tuple[tuple[int, ...], list[int]]:
     return tuple(betti), degrees
 
 
-def fan_invariants(P: FanoPolytope) -> tuple[tuple[int, ...], int, int]:
-    """(betti, c_n, c_1*c_{n-1}) of a smooth Fano polytope P's toric variety
-    from its fan alone: P's vertices and facet incidences, one integer
-    inverse per maximal cone, no dual polytope and no face lattice.
-    c_n counts the maximal cones, and c_1*c_{n-1} sums c_1 . C over the
-    curves C, one per wall."""
-    facets = facet_incidences(P)
-    betti, degrees = _fan_side(P, _walls(facets))
-    return betti, len(facets), sum(degrees)
-
-
 def second_derivative_at_one(poly: IntPolynomial) -> int:
     """Exact value of d^2 p / dt^2 at t = 1."""
     return sum(k * (k - 1) * c for k, c in enumerate(poly.coeffs))

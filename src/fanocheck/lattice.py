@@ -4,17 +4,17 @@ Vertices are tuples of Python ints, so every computation here is exact at
 arbitrary precision.  Facets are found by integer double description, in
 time polynomial in the number of vertices and facets for a fixed dimension.
 
-Each polytope is scanned at most once, and its hull is kept in a
-module-level store, together with one fraction-free inverse per simplex
-facet once smoothness or the fan is asked for.  The dual of a reflexive
-polytope is never scanned: its facets are the polytope's vertices, with the
-incidences transposed, so `reflexive_dual` records its hull straight from
-the polytope's.
+Each polytope is scanned at most once: its hull is a cached property of the
+polytope, and so is one fraction-free inverse per simplex facet once
+smoothness or the fan is asked for, so both live exactly as long as the
+polytope does.  The dual of a reflexive polytope is never scanned: its
+facets are the polytope's vertices, with the incidences transposed, so
+`reflexive_dual` attaches its hull straight from the polytope's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 # Not called here any more; bench/tracer.py rebinds it, and its traced run
 # stops when it is missing.
@@ -209,6 +209,30 @@ class FanoPolytope:
             raise DegenerateInput("empty vertex list")
         return cls(len(rows[0]), tuple(rows))
 
+    @cached_property
+    def hull(self) -> _Hull:
+        """Facet halfspaces and incidences, from one scan on first use;
+        raises what facet_enumeration documents."""
+        return _scan(self)
+
+    @cached_property
+    def cones(self) -> tuple[Cone | None, ...]:
+        """Per facet, its Cone, or None when the facet is not a simplex:
+        one elimination per facet, on first use."""
+        out: list[Cone | None] = []
+        for inc in self.hull.incidences:
+            if len(inc) != self.dim:
+                out.append(None)
+                continue
+            indices = tuple(sorted(inc))
+            det, adj = _adjugate([self.vertices[i] for i in indices])
+            inverse = None
+            if det in (1, -1):
+                # B^-1 = adj B / det, and 1 / det = det
+                inverse = tuple(tuple(det * a for a in row) for row in adj)
+            out.append(Cone(indices, det, inverse))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -230,37 +254,6 @@ class _Hull:
 
     halfspaces: tuple[Halfspace, ...]
     incidences: tuple[frozenset[int], ...]
-    vertices: tuple[LatticePoint, ...] = field(compare=False, repr=False)
-
-    @cached_property
-    def cones(self) -> tuple[Cone | None, ...]:
-        """Per facet, its Cone, or None when the facet is not a simplex:
-        one elimination per facet, on first use, kept with the hull."""
-        n = len(self.vertices[0])
-        out: list[Cone | None] = []
-        for inc in self.incidences:
-            if len(inc) != n:
-                out.append(None)
-                continue
-            indices = tuple(sorted(inc))
-            det, adj = _adjugate([self.vertices[i] for i in indices])
-            inverse = None
-            if det in (1, -1):
-                # B^-1 = adj B / det, and 1 / det = det
-                inverse = tuple(tuple(det * a for a in row) for row in adj)
-            out.append(Cone(indices, det, inverse))
-        return tuple(out)
-
-
-_HULLS: dict[FanoPolytope, _Hull] = {}
-
-
-def _hull(P: FanoPolytope) -> _Hull:
-    """P's hull from the store, scanning P only if it is not there yet."""
-    hull = _HULLS.get(P)
-    if hull is None:
-        hull = _HULLS[P] = _scan(P)
-    return hull
 
 
 def _scan(P: FanoPolytope) -> _Hull:
@@ -335,7 +328,6 @@ def _scan(P: FanoPolytope) -> _Hull:
     return _Hull(
         tuple(halfspaces[i] for i in order),
         tuple(incidences[i] for i in order),
-        verts,
     )
 
 
@@ -346,23 +338,22 @@ def facet_enumeration(P: FanoPolytope) -> tuple[Halfspace, ...]:
     the origin is not strictly inside, RedundantVertex if some listed point
     is not extreme.
     """
-    return _hull(P).halfspaces
+    return P.hull.halfspaces
 
 
 def facet_incidences(P: FanoPolytope) -> tuple[frozenset[int], ...]:
     """Vertex index sets of the facets, aligned with facet_enumeration."""
-    return _hull(P).incidences
+    return P.hull.incidences
 
 
 def is_reflexive(P: FanoPolytope) -> bool:
     """True iff every facet lies at lattice distance 1 from the origin."""
-    return all(h.offset == 1 for h in _hull(P).halfspaces)
+    return all(h.offset == 1 for h in P.hull.halfspaces)
 
 
 def _smoothness_failure(P: FanoPolytope) -> str | None:
     """Why some facet of P is not a unimodular simplex, or None if none."""
-    hull = _hull(P)
-    for h, cone in zip(hull.halfspaces, hull.cones):
+    for h, cone in zip(P.hull.halfspaces, P.cones):
         if cone is None:
             return f"facet with normal {h.normal} is not a simplex"
         if cone.det not in (1, -1):
@@ -381,23 +372,23 @@ def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
     The vertices are the negated facet normals.  The dual's facets are
     {m : <-v, m> <= 1} for the vertices v of P, and the dual vertex of
     facet j lies on the facet of v_i exactly when v_i lies on facet j; so
-    the dual's hull is stored from P's, transposed, without a scan.
+    the dual's hull is P's, transposed, without a scan.
     Applying it twice returns the original vertex set.
     """
-    hull = _hull(P)
+    hull = P.hull
     if not all(h.offset == 1 for h in hull.halfspaces):
         raise NotReflexive("a facet lies at lattice distance != 1 from the origin")
     delta = FanoPolytope(P.dim, tuple(_neg(h.normal) for h in hull.halfspaces))
     # The order a scan gives: by (offset, normal), and every offset is 1.
     order = sorted(range(len(P.vertices)), key=lambda i: _neg(P.vertices[i]))
-    _HULLS[delta] = _Hull(
+    transposed = _Hull(
         tuple(Halfspace(_neg(P.vertices[i]), 1) for i in order),
         tuple(
             frozenset(j for j, inc in enumerate(hull.incidences) if i in inc)
             for i in order
         ),
-        delta.vertices,
     )
+    object.__setattr__(delta, "hull", transposed)
     return delta
 
 
@@ -408,7 +399,7 @@ def facet_cones(P: FanoPolytope) -> tuple[Cone, ...]:
     failure = _smoothness_failure(P)
     if failure:
         raise NotSmooth(failure)
-    return _hull(P).cones
+    return P.cones
 
 
 def polar_dual(P: FanoPolytope) -> FanoPolytope:
@@ -429,13 +420,13 @@ def face_lattice(P: FanoPolytope) -> FaceLattice:
     so intersecting vertex incidence sets until closure enumerates exactly
     the nonempty faces; the polytope itself is the unique top face.
     """
-    hull = _hull(P)
+    incidences = P.hull.incidences
     full = frozenset(range(len(P.vertices)))
     found = {full}
     stack = [full]
     while stack:
         face = stack.pop()
-        for facet in hull.incidences:
+        for facet in incidences:
             sub = face & facet
             if sub and sub not in found:
                 found.add(sub)

@@ -21,23 +21,23 @@ from pathlib import Path
 
 from . import identity as idmod
 from .diamond import chi_p, defect
-from .errors import DegenerateInput, ParseError, ValidationError
+from .errors import (
+    DegenerateInput,
+    NotReflexive,
+    NotSmooth,
+    OriginNotInterior,
+    ParseError,
+    RedundantVertex,
+    ValidationError,
+)
 from .files import DiamondFile, decode_text, loads_diamond, loads_polytope
 from .invariants import ToricInvariants, toric_invariants
-from .lattice import (
-    FanoPolytope,
-    _HULLS,
-    facet_enumeration,
-    is_reflexive,
-    is_smooth,
-    polar_dual,
-    reflexive_dual,
-)
+from .lattice import FanoPolytope, polar_dual, reflexive_dual
 
-# Not called here any more.  bench/tracer.py rebinds these three names (and
+# Not called here any more.  bench/tracer.py rebinds these four names (and
 # lattice.combinations), and its traced run stops when one is missing.
 from .invariants import compute_invariants, second_derivative_at_one  # noqa: F401
-from .lattice import face_lattice  # noqa: F401
+from .lattice import face_lattice, facet_enumeration  # noqa: F401
 
 
 class CheckStatus(enum.Enum):
@@ -69,15 +69,18 @@ class ToricAnalysis:
     consistency: dict[str, bool]
 
 
-@lru_cache(maxsize=None)
+# Repeats in a batch are rarely 64 distinct inputs apart; a long batch of
+# distinct inputs evicts the oldest analyses instead of growing.
+@lru_cache(maxsize=64)
 def analyze(P: FanoPolytope) -> ToricAnalysis:
-    """Run the full pipeline on P; raises NotReflexive / NotSmooth early.
+    """Run the full pipeline on P; raises the hull's errors, NotReflexive or
+    NotSmooth before any invariant is computed.
 
     The invariants come from the fan of P and the vertices of its dual;
-    consistency records whether the two derivations agree.  Results are
-    cached per polytope (everything involved is immutable).
+    consistency records whether the two derivations agree.  The most recent
+    analyses are cached per polytope (everything involved is immutable).
     """
-    delta = polar_dual(P)  # also raises NotReflexive / NotSmooth
+    delta = polar_dual(P)  # raises every validation failure
     inv, consistent = toric_invariants(P, delta)
     return ToricAnalysis(
         polytope=P,
@@ -89,9 +92,9 @@ def analyze(P: FanoPolytope) -> ToricAnalysis:
 
 
 def clear_caches() -> None:
-    """Drop all memoized hulls and analyses (mainly for timing runs)."""
+    """Drop the cached analyses (mainly for timing runs); a polytope's hull
+    lives on the polytope, so it goes when the polytope does."""
     analyze.cache_clear()
-    _HULLS.clear()
 
 
 def dumps_json(value, _pad: str = "\n") -> str:
@@ -133,19 +136,23 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+# The verdict fields of an IdentityReport, in the order text reports list them.
+_VERDICTS = (
+    "equality",
+    "inequality_ok",
+    "chi_identity_ok",
+    "quarter_form_ok",
+    "face_count_ok",
+)
+
+
 def _report_dict(report: idmod.IdentityReport) -> dict:
     out = {
         "lhs": _frac_str(report.lhs),
         "defect": _frac_str(report.defect),
         "rhs": None if report.rhs is None else _frac_str(report.rhs),
     }
-    for key in (
-        "equality",
-        "inequality_ok",
-        "chi_identity_ok",
-        "quarter_form_ok",
-        "face_count_ok",
-    ):
+    for key in _VERDICTS:
         out[key] = getattr(report, key)
     return out
 
@@ -194,15 +201,7 @@ class EntryReport:
                 f"defect = {ident['defect']}"
             )
             verdicts = " ".join(
-                f"{k}={_yesno(ident[k])}"
-                for k in (
-                    "equality",
-                    "inequality_ok",
-                    "chi_identity_ok",
-                    "quarter_form_ok",
-                    "face_count_ok",
-                )
-                if ident[k] is not None
+                f"{k}={_yesno(ident[k])}" for k in _VERDICTS if ident[k] is not None
             )
             lines.append(f"verdicts: {verdicts}")
         if "consistency" in p:
@@ -221,33 +220,32 @@ def _yesno(v) -> str:
 
 
 def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
-    """Validate and fully verify one N-side polytope."""
-    valid = {"primitive": True, "spanning": None, "reflexive": None, "smooth": None}
+    """Validate and fully verify one N-side polytope.
+
+    The validity flags come from the one validation failure `analyze`
+    raises, which also names the first check that failed.
+    """
+    valid = {"primitive": True, "spanning": True, "reflexive": True, "smooth": True}
     payload: dict = {"n": P.dim, "vertex_count": len(P.vertices), "valid": valid}
+    error = None
     try:
-        facet_enumeration(P)
-    except ValidationError as exc:
-        # non-spanning input is the only failure before the span check passes
-        valid["spanning"] = not isinstance(exc, DegenerateInput)
+        analysis = analyze(P)
+    except (DegenerateInput, OriginNotInterior, RedundantVertex) as exc:
+        # only a non-spanning input fails before the span check passes
+        spanning = not isinstance(exc, DegenerateInput)
+        valid.update(spanning=spanning, reflexive=None, smooth=None)
+        error = f"{type(exc).__name__}: {exc}"
+    except NotReflexive:
+        valid.update(reflexive=False, smooth=None)
+        error = "NotReflexive: a facet lies at lattice distance != 1"
+    except NotSmooth:
+        valid["smooth"] = False
+        error = "NotSmooth: a facet is not a unimodular simplex"
+    if error:
         return EntryReport(
-            name, "toric", CheckStatus.VALIDATION_ERROR,
-            error=f"{type(exc).__name__}: {exc}", payload=payload,
-        )
-    valid["spanning"] = True
-    valid["reflexive"] = is_reflexive(P)
-    if not valid["reflexive"]:
-        return EntryReport(
-            name, "toric", CheckStatus.VALIDATION_ERROR,
-            error="NotReflexive: a facet lies at lattice distance != 1", payload=payload,
-        )
-    valid["smooth"] = is_smooth(P)
-    if not valid["smooth"]:
-        return EntryReport(
-            name, "toric", CheckStatus.VALIDATION_ERROR,
-            error="NotSmooth: a facet is not a unimodular simplex", payload=payload,
+            name, "toric", CheckStatus.VALIDATION_ERROR, error=error, payload=payload
         )
 
-    analysis = analyze(P)
     inv = analysis.invariants
     payload.update(
         {
@@ -407,8 +405,10 @@ def _expand_paths(paths) -> list[Path]:
 def run_batch(paths, jobs: int = 1) -> RunReport:
     """Check many inputs, optionally concurrently.
 
-    All shared state is immutable, so thread workers are safe; entries are
-    sorted by input name, making the report independent of execution order.
+    All shared state is immutable (each polytope carries its own hull, and
+    the analysis cache holds only finished results), so thread workers are
+    safe; entries are sorted by input name, making the report independent
+    of execution order.
     """
     files = _expand_paths(paths)
     if jobs > 1 and len(files) > 1:

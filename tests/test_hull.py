@@ -100,7 +100,6 @@ def reference_scan(P: FanoPolytope) -> _Hull:
     return _Hull(
         tuple(halfspaces[i] for i in order),
         tuple(incidences[i] for i in order),
-        verts,
     )
 
 

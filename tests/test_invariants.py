@@ -13,7 +13,6 @@ from fanocheck import (
     compute_invariants,
     dim2_corpus,
     face_lattice,
-    fan_invariants,
     gen_direct_sum,
     gen_pn,
     poincare_polynomial,
@@ -22,7 +21,6 @@ from fanocheck import (
     toric_invariants,
 )
 from fanocheck.errors import DuplicateVertex, NegativeCoefficient, NonPrimitiveVertex, NotSmooth
-from fanocheck.lattice import _HULLS, _Hull, _hull
 
 from test_acceptance import product_family
 
@@ -203,8 +201,14 @@ class TestComputeInvariants:
 
 
 class TestFanInvariants:
-    """The fan side shares only P's facet incidences with the face-lattice
-    derivation, so a corrupted dual makes them disagree."""
+    """toric_invariants shares only P's facet incidences with the
+    face-lattice derivation, so a corrupted dual makes them disagree."""
+
+    @staticmethod
+    def fan_side(P):
+        inv, consistent = toric_invariants(P, polar_dual(P))
+        assert consistent, P.vertices
+        return inv.betti, inv.c_n, inv.c1_cn1
 
     @staticmethod
     def dual_side(P):
@@ -217,12 +221,12 @@ class TestFanInvariants:
         polytopes += [P for _, P in product_family()]
         polytopes += [dp6_power(2), dp6_power(3)]
         for P in polytopes:
-            assert fan_invariants(P) == self.dual_side(P), P.vertices
+            assert self.fan_side(P) == self.dual_side(P), P.vertices
 
     def test_pinned_values(self):
-        assert fan_invariants(gen_pn(2)) == ((1, 1, 1), 3, 9)
-        assert fan_invariants(dp6_power(2)) == ((1, 8, 18, 8, 1), 36, 72)
-        assert fan_invariants(dp6_power(3)) == ((1, 12, 51, 88, 51, 12, 1), 216, 648)
+        assert self.fan_side(gen_pn(2)) == ((1, 1, 1), 3, 9)
+        assert self.fan_side(dp6_power(2)) == ((1, 8, 18, 8, 1), 36, 72)
+        assert self.fan_side(dp6_power(3)) == ((1, 12, 51, 88, 51, 12, 1), 216, 648)
 
     def test_moved_dual_vertex_disagrees(self):
         # Moving one vertex of the dual along an edge doubles that edge's
@@ -232,9 +236,12 @@ class TestFanInvariants:
         i, j = faces.faces(1)[0].vertex_indices
         verts = list(delta.vertices)
         verts[j] = tuple(2 * b - a for a, b in zip(verts[i], verts[j]))
-        inv = compute_invariants(FanoPolytope(delta.dim, tuple(verts)), faces)
-        assert (inv.betti, inv.c_n) == fan_invariants(P)[:2]
-        assert (inv.c1_cn1, fan_invariants(P)[2]) == (73, 72)
+        moved = FanoPolytope(delta.dim, tuple(verts))
+        inv, consistent = toric_invariants(P, moved)
+        reference = compute_invariants(moved, faces)
+        assert (inv.betti, inv.c_n) == (reference.betti, reference.c_n)
+        assert (inv.c1_cn1, reference.c1_cn1, self.fan_side(P)[2]) == (73, 73, 72)
+        assert not consistent
 
 
 class TestToricInvariants:
@@ -287,7 +294,6 @@ class TestToricInvariants:
         polytopes += [gen_direct_sum(gen_pn(2), gen_pn(2)), dp6_power(2)]
         caught = singular = 0
         for P in polytopes:
-            hull = _hull(P)
             for i, v in enumerate(P.vertices):
                 for k in range(P.dim):
                     for step in (1, -1):
@@ -297,14 +303,12 @@ class TestToricInvariants:
                             Q = FanoPolytope(P.dim, tuple(verts))
                         except (NonPrimitiveVertex, DuplicateVertex):
                             continue
-                        _HULLS[Q] = _Hull(hull.halfspaces, hull.incidences, Q.vertices)
+                        object.__setattr__(Q, "hull", P.hull)
                         try:
                             consistent = toric_invariants(Q, polar_dual(Q))[1]
                         except NotSmooth:
                             singular += 1
                             continue
-                        finally:
-                            del _HULLS[Q]
                         assert not consistent, (P.vertices, Q.vertices)
                         caught += 1
         assert (caught, singular) == (96, 120)

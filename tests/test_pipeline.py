@@ -1,7 +1,9 @@
 """run_check / run_batch behaviour, statuses, report shapes."""
 
+import gc
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 from fanocheck import (
     CheckStatus,
+    FanoPolytope,
     RunReport,
+    check_polytope,
     dim2_corpus,
     dumps_polytope,
     gen_direct_sum,
@@ -88,6 +92,50 @@ class TestRunCheckToric:
         assert entry.status is CheckStatus.VALIDATION_ERROR
         assert "OriginNotInterior" in entry.error
         assert entry.payload["valid"]["spanning"] is True
+
+    @pytest.mark.parametrize(
+        "vertices, valid, error",
+        [
+            (
+                [(1, 0), (-1, 0)],
+                (False, None, None),
+                "DegenerateInput: vertices do not affinely span the ambient space",
+            ),
+            (
+                [(1, 0), (0, 1), (1, 1)],
+                (True, None, None),
+                "OriginNotInterior: a facet inequality has offset <= 0; "
+                "the origin is not strictly interior",
+            ),
+            (
+                # (0, 1) lies on the edge from (2, -1) to (-1, 2)
+                [(-1, -1), (2, -1), (-1, 2), (0, 1)],
+                (True, None, None),
+                "RedundantVertex: point (0, 1) is not a vertex of the convex hull",
+            ),
+            (
+                [(1, 0), (0, 1), (-1, -3)],
+                (True, False, None),
+                "NotReflexive: a facet lies at lattice distance != 1",
+            ),
+            (
+                [(1, 0), (0, 1), (-1, -2)],
+                (True, True, False),
+                "NotSmooth: a facet is not a unimodular simplex",
+            ),
+        ],
+    )
+    def test_validation_failure_report(self, vertices, valid, error):
+        entry = check_polytope(FanoPolytope.from_vertices(vertices), "P")
+        assert entry.status is CheckStatus.VALIDATION_ERROR
+        assert entry.error == error
+        assert entry.payload == {
+            "n": 2,
+            "vertex_count": len(vertices),
+            "valid": dict(
+                zip(("primitive", "spanning", "reflexive", "smooth"), (True, *valid))
+            ),
+        }
 
     def test_dp6_cubed(self, tmp_path):
         # The dual has 216 vertices in dimension 6; a facet scan of it
@@ -369,3 +417,28 @@ class TestAnalyzeCaching:
         P = gen_pn(5)
         assert check_polytope(P, "P5").passed
         assert len(calls) == len(facet_enumeration(P)) + 1
+
+    def test_cache_is_bounded(self):
+        # 70 distinct shears of P2, each a GL(2, Z) image: the cache keeps
+        # the latest 64 analyses, and the first polytope is not kept alive.
+        def image(k):
+            return FanoPolytope.from_vertices([(1, 0), (k, 1), (-1 - k, -1)])
+
+        clear_caches()
+        first = image(0)
+        ref = weakref.ref(first)
+        assert check_polytope(first, "P2").passed
+        del first
+        for k in range(1, 70):
+            assert check_polytope(image(k), "P2").passed
+        gc.collect()
+        assert analyze.cache_info().currsize == 64
+        assert ref() is None
+
+    def test_invalid_polytope_is_not_kept(self):
+        P = FanoPolytope.from_vertices([(1, 0), (0, 1), (-1, -3)])
+        ref = weakref.ref(P)
+        assert "NotReflexive" in check_polytope(P, "P").error
+        del P
+        gc.collect()
+        assert ref() is None
