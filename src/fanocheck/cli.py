@@ -14,10 +14,22 @@ from .pipeline import RunReport, run_batch, run_check
 
 
 def _emit(report: RunReport, fmt: str) -> None:
+    """Write the report one entry at a time.
+
+    JSON text is ASCII with every control character escaped, so it goes
+    straight to stdout: click.echo's ANSI stripping could not change it.
+    Text reports may hold escape sequences from file names and keep going
+    through click.echo, which strips them off a non-terminal.
+    """
     if fmt == "json":
-        click.echo(report.to_json())
+        out = click.get_text_stream("stdout")
+        out.writelines(report.iter_json())
+        out.write("\n")
+        out.flush()
     else:
-        click.echo(report.to_text())
+        for chunk in report.iter_text():
+            click.echo(chunk, nl=False)
+        click.echo()
 
 
 @click.group()

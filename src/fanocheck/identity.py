@@ -9,8 +9,9 @@ holds, with equality exactly when all off-diagonal Hodge numbers vanish;
 the gap is the defect sum h^{p,q} ((q-p)/2)^2.  Every side is an integer
 over a fixed scale: 4 for the weighted sums and the defect, 12 for the Chern
 side, 16 and 48 for the two sides of the original normalization.  Each
-kernel sums integers and returns one exact Fraction, so every equality and
-inequality verdict compares exact values; no floating point is involved.
+kernel sums integers and returns one exact Fraction; the verdicts compare
+the integers cross-multiplied to a common scale, so every comparison is
+exact and no floating point is involved.
 """
 
 from __future__ import annotations
@@ -43,23 +44,39 @@ class IdentityReport:
     face_count_ok: bool | None = None
 
 
-def weighted_betti_sum(betti, n: int) -> Fraction:
-    """sum_k betti[k] * (k - n/2)^2, exact."""
+def _weighted_sum4(values, n: int) -> int:
+    """4 * sum_k values[k] * (k - n/2)^2, an integer."""
+    if len(values) != n + 1:
+        raise LengthMismatch(f"expected {n + 1} entries, got {len(values)}")
+    return sum(v * (2 * k - n) ** 2 for k, v in enumerate(values))
+
+
+def _chern_side12(c1_cn1: int, c_n: int, n: int) -> int:
+    """12 * ((1/6) c_1 c_{n-1} + (n/12) c_n), an integer."""
+    return 2 * c1_cn1 + n * c_n
+
+
+def _quarter_sides(betti, c1_cn1: int, n: int) -> tuple[int, int]:
+    """16 * lhs and 48 * rhs of the original normalization, as integers."""
     if len(betti) != n + 1:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(betti)}")
-    return Fraction(sum(b * (2 * k - n) ** 2 for k, b in enumerate(betti)), 4)
+    lhs16 = sum(b * (2 * k - n + 1) * (n + 1 - 2 * k) for k, b in enumerate(betti))
+    return lhs16, (3 - n) * sum(betti) - 2 * c1_cn1
+
+
+def weighted_betti_sum(betti, n: int) -> Fraction:
+    """sum_k betti[k] * (k - n/2)^2, exact."""
+    return Fraction(_weighted_sum4(betti, n), 4)
 
 
 def chern_side(c1_cn1: int, c_n: int, n: int) -> Fraction:
     """(1/6) c_1 c_{n-1} + (n/12) c_n, exact."""
-    return Fraction(2 * c1_cn1 + n * c_n, 12)
+    return Fraction(_chern_side12(c1_cn1, c_n, n), 12)
 
 
 def chi_weighted_sum(chi, n: int) -> Fraction:
     """sum_p chi[p] * (p - n/2)^2, exact."""
-    if len(chi) != n + 1:
-        raise LengthMismatch(f"expected {n + 1} entries, got {len(chi)}")
-    return Fraction(sum(c * (2 * p - n) ** 2 for p, c in enumerate(chi)), 4)
+    return Fraction(_weighted_sum4(chi, n), 4)
 
 
 def verify_chi_identity(chi, c1_cn1: int, c_n: int, n: int) -> bool:
@@ -83,12 +100,8 @@ def quarter_weighted_form(betti, c1_cn1: int, n: int) -> tuple[Fraction, Fractio
     sum of the Betti numbers.  The two sides agree exactly iff the rewritten
     (k - n/2)^2 form does.
     """
-    if len(betti) != n + 1:
-        raise LengthMismatch(f"expected {n + 1} entries, got {len(betti)}")
-    lhs = Fraction(
-        sum(b * (2 * k - n + 1) * (n + 1 - 2 * k) for k, b in enumerate(betti)), 16
-    )
-    return lhs, Fraction((3 - n) * sum(betti) - 2 * c1_cn1, 48)
+    lhs16, rhs48 = _quarter_sides(betti, c1_cn1, n)
+    return Fraction(lhs16, 16), Fraction(rhs48, 48)
 
 
 def check_betti_chern(
@@ -100,6 +113,7 @@ def check_betti_chern(
     consistent inputs; chi_identity_ok records whether the chi-weighted sum
     matches the Chern side (true for every actual variety), and
     quarter_form_ok whether the original-normalization identity holds.
+    Each verdict compares the integer numerators over a common scale.
     """
     if not diamond.is_odd_vanishing:
         raise HypothesisViolated(
@@ -107,19 +121,18 @@ def check_betti_chern(
         )
     n = diamond.n
     betti = diamond.even_betti()
-    lhs = weighted_betti_sum(betti, n)
-    rhs = chern_side(c1_cn1, c_n, n)
-    gap = defect(diamond)
-    quarter_lhs, quarter_rhs = quarter_weighted_form(betti, c1_cn1, n)
+    lhs4 = _weighted_sum4(betti, n)
+    rhs12 = _chern_side12(c1_cn1, c_n, n)
+    quarter16, quarter48 = _quarter_sides(betti, c1_cn1, n)
     return IdentityReport(
         n=n,
-        lhs=lhs,
-        defect=gap,
-        rhs=rhs,
-        equality=lhs == rhs,
-        inequality_ok=lhs <= rhs,
-        chi_identity_ok=chi_weighted_sum(chi_p(diamond), n) == rhs,
-        quarter_form_ok=quarter_lhs == quarter_rhs,
+        lhs=Fraction(lhs4, 4),
+        defect=defect(diamond),
+        rhs=Fraction(rhs12, 12),
+        equality=3 * lhs4 == rhs12,
+        inequality_ok=3 * lhs4 <= rhs12,
+        chi_identity_ok=3 * _weighted_sum4(chi_p(diamond), n) == rhs12,
+        quarter_form_ok=3 * quarter16 == quarter48,
     )
 
 

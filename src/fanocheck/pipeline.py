@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import logging
+import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -376,19 +378,39 @@ class RunReport:
             "aggregate": {**self.counts, "exit_status": self.exit_status},
         }
 
+    def iter_json(self) -> Iterator[str]:
+        """to_json() in chunks of one entry each, so neither the whole
+        dict tree nor the whole text of a long batch is ever held."""
+        aggregate = {**self.counts, "exit_status": self.exit_status}
+        yield '{\n  "aggregate": ' + dumps_json(aggregate, "\n  ") + ',\n  "entries": '
+        if not self.entries:
+            yield "[]\n}"
+            return
+        sep = "[\n    "
+        for e in self.entries:
+            yield sep + dumps_json(e.to_dict(), "\n    ")
+            sep = ",\n    "
+        yield "\n  ]\n}"
+
     def to_json(self) -> str:
         """to_dict() as json.dumps(..., indent=2, sort_keys=True) writes it."""
-        return dumps_json(self.to_dict())
+        return "".join(self.iter_json())
 
-    def to_text(self) -> str:
-        blocks = [e.to_text() for e in self.entries]
+    def iter_text(self) -> Iterator[str]:
+        """to_text() in chunks of one entry each, the summary line last."""
+        sep = ""
+        for e in self.entries:
+            yield sep + e.to_text()
+            sep = "\n\n"
         counts = self.counts
-        blocks.append(
-            f"checked {counts['total']} inputs: {counts['ok']} ok, "
+        yield (
+            f"{sep}checked {counts['total']} inputs: {counts['ok']} ok, "
             f"{counts['identity_violations']} identity violations, "
             f"{counts['errors']} errors"
         )
-        return "\n\n".join(blocks)
+
+    def to_text(self) -> str:
+        return "".join(self.iter_text())
 
 
 def _expand_paths(paths) -> list[Path]:
@@ -405,14 +427,16 @@ def _expand_paths(paths) -> list[Path]:
 def run_batch(paths, jobs: int = 1) -> RunReport:
     """Check many inputs, optionally concurrently.
 
-    All shared state is immutable (each polytope carries its own hull, and
-    the analysis cache holds only finished results), so thread workers are
-    safe; entries are sorted by input name, making the report independent
-    of execution order.
+    At most min(jobs, number of inputs, CPU count) worker threads run, so
+    a large --jobs does not start a thread per file.  All shared state is
+    immutable (each polytope carries its own hull, and the analysis cache
+    holds only finished results), so thread workers are safe; entries are
+    sorted by input name, making the report independent of execution order.
     """
     files = _expand_paths(paths)
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(files), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(run_check, files))
     else:
         entries = [run_check(f) for f in files]

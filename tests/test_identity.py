@@ -1,5 +1,6 @@
 """The weighted Betti / Chern identity in all its forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -317,6 +318,29 @@ def _vector_and_n(draw):
     return draw(st.lists(_entries, min_size=n + 1, max_size=n + 1)), n
 
 
+@st.composite
+def _diamond_and_chern(draw):
+    """A Hodge-symmetric, odd-vanishing diamond and Chern numbers with c1_cn1
+    within 1 of where the two sides of one verdict meet, so that each
+    verdict is drawn both true and false."""
+    n = draw(st.integers(0, 6))
+    h = [[0] * (n + 1) for _ in range(n + 1)]
+    for p in range(n + 1):
+        for q in range(p, n + 1, 2):
+            h[p][q] = h[q][p] = draw(st.integers(0, 30))
+    h[0][0] = 1
+    diamond = HodgeDiamond.from_table(h)
+    betti = diamond.even_betti()
+    c_n = draw(st.integers(-BIG, BIG))
+    quarter_lhs = ref_quarter_weighted_form(betti, 0, n)[0]
+    meeting = draw(st.sampled_from([
+        12 * ref_weighted_betti_sum(betti, n) - n * c_n,  # equality, inequality
+        12 * ref_weighted_betti_sum(chi_p(diamond), n) - n * c_n,  # chi identity
+        (3 - n) * sum(betti) - 48 * quarter_lhs,  # quarter form
+    ])) / 2
+    return diamond, math.floor(meeting) + draw(st.integers(-1, 1)), c_n
+
+
 class TestKernelsMatchFractionReference:
     @given(_vector_and_n())
     def test_weighted_sums(self, vec_n):
@@ -356,3 +380,23 @@ class TestKernelsMatchFractionReference:
             assert verdict == ref_face_count_identity(target, faces)
             verdicts.append(verdict)
         assert False in verdicts
+
+    @given(_diamond_and_chern())
+    def test_check_betti_chern(self, case):
+        diamond, c1_cn1, c_n = case
+        n, betti = diamond.n, diamond.even_betti()
+        lhs = ref_weighted_betti_sum(betti, n)
+        rhs = ref_chern_side(c1_cn1, c_n, n)
+        gap = sum(
+            (Fraction(x * (q - p) ** 2, 4) for p, row in enumerate(diamond.h)
+             for q, x in enumerate(row)),
+            Fraction(0),
+        )
+        quarter_lhs, quarter_rhs = ref_quarter_weighted_form(betti, c1_cn1, n)
+        got = check_betti_chern(diamond, c1_cn1, c_n)
+        assert all(type(x) is Fraction for x in (got.lhs, got.rhs, got.defect))
+        assert (got.lhs, got.rhs, got.defect) == (lhs, rhs, gap)
+        assert got.equality == (lhs == rhs)
+        assert got.inequality_ok == (lhs <= rhs)
+        assert got.chi_identity_ok == (ref_weighted_betti_sum(chi_p(diamond), n) == rhs)
+        assert got.quarter_form_ok == (quarter_lhs == quarter_rhs)

@@ -7,7 +7,8 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from click.testing import CliRunner
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanocheck import (
@@ -22,6 +23,7 @@ from fanocheck import (
     run_check,
 )
 from fanocheck import pipeline
+from fanocheck.cli import main
 from fanocheck.errors import ConsistencyError
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
 
@@ -313,6 +315,33 @@ class TestRunBatch:
         assert json.loads(text)["aggregate"]["exit_status"] == 2
 
 
+class TestJobsClamp:
+    """run_batch starts at most min(jobs, inputs, CPU count) threads."""
+
+    @pytest.mark.parametrize(
+        "cores, paths, jobs, pools",
+        [
+            (2, [FIXTURES], 10_000, [2]),
+            (8, [FIXTURES / "p2.poly", FIXTURES / "k3.json"], 4, [2]),
+            (None, [FIXTURES], 4, []),
+            (8, [FIXTURES / "p2.poly"], 4, []),
+        ],
+    )
+    def test_workers(self, monkeypatch, cores, paths, jobs, pools):
+        reference = run_batch(paths).to_json()
+        sizes = []
+        real = pipeline.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording)
+        assert run_batch(paths, jobs=jobs).to_json() == reference
+        assert sizes == pools
+
+
 class TestBatchOrder:
     """Directories are listed in whatever order the file system gives;
     run_batch sorts the entries by name."""
@@ -384,6 +413,117 @@ class TestJsonEmitter:
     def test_report(self):
         report = run_batch([FIXTURES])
         assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+K3_TEXT = """== {} (diamond) ==
+dimension: 2
+betti: (1, 22, 1)
+c_n = 24, c1*c_(n-1) = 0
+identity: lhs = 2, rhs = 4, defect = 2
+verdicts: equality=NO inequality_ok=yes chi_identity_ok=yes quarter_form_ok=NO
+status: ok"""
+
+P2_TEXT = """== {} (toric) ==
+dimension: 2
+validity: primitive=yes spanning=yes reflexive=yes smooth=yes
+dual f-vector: (3, 3, 1)
+betti: (1, 1, 1)
+c_n = 3, c1*c_(n-1) = 9
+identity: lhs = 2, rhs = 2, defect = 0
+verdicts: equality=yes inequality_ok=yes chi_identity_ok=yes quarter_form_ok=yes face_count_ok=yes
+consistency: fan_vs_dual=yes
+status: ok"""
+
+
+class TestStreamedReport:
+    """RunReport writes one chunk per entry; joined, the chunks are the
+    report, and no chunk grows with the number of entries."""
+
+    @pytest.mark.parametrize("count", [0, 1, 12])
+    def test_chunks_join_to_the_report(self, count):
+        report = RunReport(run_batch([FIXTURES]).entries[:count])
+        assert len(report.entries) == count
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        assert "".join(report.iter_json()) == report.to_json() == expected
+        counts = report.counts
+        blocks = [e.to_text() for e in report.entries] + [
+            f"checked {count} inputs: {counts['ok']} ok, "
+            f"{counts['identity_violations']} identity violations, "
+            f"{counts['errors']} errors"
+        ]
+        assert "".join(report.iter_text()) == report.to_text() == "\n\n".join(blocks)
+
+    def test_longest_chunk_does_not_grow(self):
+        entry = run_check(FIXTURES / "p1xp2.poly")
+
+        def longest(chunks, count):
+            return max(map(len, chunks(RunReport((entry,) * count))))
+
+        for chunks in (RunReport.iter_json, RunReport.iter_text):
+            assert longest(chunks, 2000) <= longest(chunks, 20)
+
+    def test_escape_sequence_in_file_name(self, tmp_path):
+        # Off a terminal, click strips the escape from text reports; JSON
+        # writes it as \u001b.
+        k3, p2 = tmp_path / "k3\x1b[31m.json", tmp_path / "p2\x1b[31m.poly"
+        shutil.copy(FIXTURES / "k3.json", k3)
+        shutil.copy(FIXTURES / "p2.poly", p2)
+        k3_text = K3_TEXT.format(tmp_path / "k3.json")
+        p2_text = P2_TEXT.format(tmp_path / "p2.poly")
+        runner = CliRunner()
+
+        result = runner.invoke(main, ["check", str(p2)])
+        summary = "checked 1 inputs: 1 ok, 0 identity violations, 0 errors"
+        assert result.exit_code == 0
+        assert result.output == f"{p2_text}\n\n{summary}\n"
+
+        result = runner.invoke(main, ["batch", "--format", "text", str(tmp_path)])
+        summary = "checked 2 inputs: 2 ok, 0 identity violations, 0 errors"
+        assert result.exit_code == 0
+        assert result.output == f"{k3_text}\n\n{p2_text}\n\n{summary}\n"
+
+        result = runner.invoke(main, ["batch", "--format", "json", str(tmp_path)])
+        report = run_batch([tmp_path])
+        assert result.exit_code == 0
+        assert result.output == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert result.output.count("\\u001b[31m") == 2
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for kind, where, byte in edits:
+        i = where % (len(out) + 1)
+        if kind == "insert":
+            out.insert(i, byte)
+        elif i < len(out):
+            if kind == "flip":
+                out[i] ^= byte
+            else:
+                del out[i]
+    return bytes(out)
+
+
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "insert", "delete"]),
+        st.integers(0, 1000),
+        st.integers(1, 255),
+    ),
+    max_size=8,
+)
+_inputs = st.binary(max_size=200) | st.builds(
+    _mutated, st.sampled_from(sorted(FIXTURES.iterdir())).map(Path.read_bytes), _edits
+)
+
+
+class TestRobustness:
+    @settings(deadline=None, max_examples=150)
+    @given(data=_inputs, dual=st.booleans(), mode=st.sampled_from(["auto", "diamond"]))
+    def test_no_input_is_an_internal_error(self, tmp_path_factory, data, dual, mode):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.input"
+        path.write_bytes(data)
+        entry = run_check(path, dual=dual, mode=mode)
+        assert entry.status is not CheckStatus.INTERNAL_ERROR, entry.error
 
 
 class TestAnalyzeCaching:
