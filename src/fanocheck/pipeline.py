@@ -11,10 +11,8 @@ rationals as "p/q" strings so nothing is rounded.
 from __future__ import annotations
 
 import enum
-import logging
 import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -342,6 +340,8 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     except ValidationError as exc:
         status, error = CheckStatus.VALIDATION_ERROR, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # a fault of the program, not of the input
+        import logging  # imported here, so that starting up does not load it
+
         logging.getLogger(__name__).exception("internal error while checking %s", name)
         status, error = CheckStatus.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
     return EntryReport(name, "diamond" if is_diamond else "toric", status, error=error)
@@ -436,6 +436,9 @@ def run_batch(paths, jobs: int = 1) -> RunReport:
     files = _expand_paths(paths)
     workers = min(jobs, len(files), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads logging, which a sequential run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(run_check, files))
     else:

@@ -7,8 +7,11 @@ catch sign and normalization bugs in the integer code paths.
 
 from __future__ import annotations
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -16,6 +19,7 @@ from math import gcd, lcm
 import pytest
 
 from fanocheck import FanoPolytope, HodgeDiamond
+from fanocheck.cli import main
 
 # Diamond files that json.loads rejects with something other than
 # JSONDecodeError: a 5000-digit integer (ValueError from int's digit limit)
@@ -32,6 +36,31 @@ def corner_diamond(value: int, n: int = 10, **chern) -> str:
     h[0][0] = h[n][n] = 1
     h[0][n] = h[n][0] = value
     return json.dumps({"n": n, "h": h, **chern})
+
+
+class _Stream(io.StringIO):
+    def __init__(self, tty: bool):
+        super().__init__()
+        self._tty = tty
+
+    def isatty(self) -> bool:
+        return self._tty
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    output: str
+    stderr: str
+
+
+def run_cli(args, tty: bool = False) -> CliResult:
+    """Run `fanocheck ARGS` in process, with stdout (a terminal if tty)
+    and stderr captured, and the exit code of the SystemExit main ends in."""
+    out, err = _Stream(tty), _Stream(False)
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([str(a) for a in args])
+    return CliResult(exc.value.code, out.getvalue(), err.getvalue())
 
 
 def oracle_hyperplane(points):

@@ -1,5 +1,6 @@
 """run_check / run_batch behaviour, statuses, report shapes."""
 
+import concurrent.futures
 import gc
 import json
 import shutil
@@ -7,7 +8,6 @@ import weakref
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +23,10 @@ from fanocheck import (
     run_check,
 )
 from fanocheck import pipeline
-from fanocheck.cli import main
 from fanocheck.errors import ConsistencyError
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
 
-from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond
+from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond, run_cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -330,14 +329,14 @@ class TestJobsClamp:
     def test_workers(self, monkeypatch, cores, paths, jobs, pools):
         reference = run_batch(paths).to_json()
         sizes = []
-        real = pipeline.ThreadPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def recording(max_workers):
             sizes.append(max_workers)
             return real(max_workers=max_workers)
 
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
         assert run_batch(paths, jobs=jobs).to_json() == reference
         assert sizes == pools
 
@@ -463,26 +462,24 @@ class TestStreamedReport:
             assert longest(chunks, 2000) <= longest(chunks, 20)
 
     def test_escape_sequence_in_file_name(self, tmp_path):
-        # Off a terminal, click strips the escape from text reports; JSON
-        # writes it as \u001b.
+        # Off a terminal, text reports drop the escape; JSON writes it as
+        # \u001b.
         k3, p2 = tmp_path / "k3\x1b[31m.json", tmp_path / "p2\x1b[31m.poly"
         shutil.copy(FIXTURES / "k3.json", k3)
         shutil.copy(FIXTURES / "p2.poly", p2)
         k3_text = K3_TEXT.format(tmp_path / "k3.json")
         p2_text = P2_TEXT.format(tmp_path / "p2.poly")
-        runner = CliRunner()
-
-        result = runner.invoke(main, ["check", str(p2)])
+        result = run_cli(["check", p2])
         summary = "checked 1 inputs: 1 ok, 0 identity violations, 0 errors"
         assert result.exit_code == 0
         assert result.output == f"{p2_text}\n\n{summary}\n"
 
-        result = runner.invoke(main, ["batch", "--format", "text", str(tmp_path)])
+        result = run_cli(["batch", "--format", "text", tmp_path])
         summary = "checked 2 inputs: 2 ok, 0 identity violations, 0 errors"
         assert result.exit_code == 0
         assert result.output == f"{k3_text}\n\n{p2_text}\n\n{summary}\n"
 
-        result = runner.invoke(main, ["batch", "--format", "json", str(tmp_path)])
+        result = run_cli(["batch", "--format", "json", tmp_path])
         report = run_batch([tmp_path])
         assert result.exit_code == 0
         assert result.output == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
