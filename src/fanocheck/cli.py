@@ -43,11 +43,18 @@ def _emit(report: RunReport, fmt: str) -> None:
     sys.stdout.flush()
 
 
-def _report(report: RunReport, fmt: str) -> int:
-    """Write the report and return its exit status, or 141 (128 + SIGPIPE,
-    none of the report's codes) when the reader of stdout went away."""
+def _wrote(paths) -> None:
+    """Name each written file on stdout, then flush."""
+    _write(f"wrote {path}\n" for path in paths)
+    sys.stdout.flush()
+
+
+def _output(emit, *args) -> int:
+    """Call emit(*args), which writes to stdout and flushes it; return 0,
+    or 141 (128 + SIGPIPE, none of the report's codes) when the reader of
+    stdout went away."""
     try:
-        _emit(report, fmt)
+        emit(*args)
     except BrokenPipeError:
         # As the signal module's documentation advises: point stdout at
         # devnull, so that the flush at exit does not raise again.
@@ -55,7 +62,13 @@ def _report(report: RunReport, fmt: str) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    return report.exit_status
+    return 0
+
+
+def _report(report: RunReport, fmt: str) -> int:
+    """Write the report and return its exit status, or 141 when the reader
+    of stdout went away."""
+    return _output(_emit, report, fmt) or report.exit_status
 
 
 def _error(exc: FanocheckError) -> int:
@@ -84,8 +97,7 @@ def _gen_pn(args) -> int:
     except FanocheckError as exc:
         return _error(exc)
     write_polytope(P, args.output, comment=f"P^{args.n}")
-    _write([f"wrote {args.output}\n"])
-    return 0
+    return _output(_wrote, [args.output])
 
 
 def _gen_sum(args) -> int:
@@ -97,8 +109,7 @@ def _gen_sum(args) -> int:
     except FanocheckError as exc:
         return _error(exc)
     write_polytope(S, args.output, comment=f"direct sum of {args.file1} and {args.file2}")
-    _write([f"wrote {args.output}\n"])
-    return 0
+    return _output(_wrote, [args.output])
 
 
 def _corpus_dim2(args) -> int:
@@ -107,11 +118,11 @@ def _corpus_dim2(args) -> int:
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    paths = []
     for entry in dim2_corpus():
-        path = out / f"{entry.name.lower()}.poly"
-        write_polytope(entry.polytope, path, comment=entry.name)
-        _write([f"wrote {path}\n"])
-    return 0
+        paths.append(out / f"{entry.name.lower()}.poly")
+        write_polytope(entry.polytope, paths[-1], comment=entry.name)
+    return _output(_wrote, paths)
 
 
 def _command(commands, name: str, doc: str, run=None) -> argparse.ArgumentParser:

@@ -2,26 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidDimension, NotReflexive, NotSmooth
 from .lattice import FanoPolytope, is_reflexive, is_smooth
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class PinnedValues:
+class PinnedValues(Value):
     """Optional regression values for a corpus entry."""
 
-    betti: tuple[int, ...] | None = None
-    c_n: int | None = None
-    c1_cn1: int | None = None
+    __slots__ = _fields = ("betti", "c_n", "c1_cn1")
+
+    def __init__(
+        self,
+        betti: tuple[int, ...] | None = None,
+        c_n: int | None = None,
+        c1_cn1: int | None = None,
+    ):
+        set_field(self, "betti", betti)
+        set_field(self, "c_n", c_n)
+        set_field(self, "c1_cn1", c1_cn1)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    polytope: FanoPolytope
-    expected: PinnedValues | None = None
+class CorpusEntry(Value):
+    __slots__ = _fields = ("name", "polytope", "expected")
+
+    def __init__(
+        self, name: str, polytope: FanoPolytope, expected: PinnedValues | None = None
+    ):
+        set_field(self, "name", name)
+        set_field(self, "polytope", polytope)
+        set_field(self, "expected", expected)
 
 
 def gen_pn(n: int) -> FanoPolytope:

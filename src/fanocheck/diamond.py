@@ -10,13 +10,13 @@ predicate, so purely formal test tables remain constructible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import mul, sub
 
 from .errors import InvalidBetti, InvalidDiamond, SerreDualityWarning
+from .value import Value, set_field
 
 
 @lru_cache(maxsize=32)
@@ -39,20 +39,22 @@ def _layout(n: int):
     return tuple(anti), even_rows, odd_rows, upper, weights
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(Value):
     """Hodge number table h[p][q], 0 <= p, q <= n.
 
     The even Betti numbers, chi_p, odd vanishing and the defect numerator
-    are computed once, in the constructor, from the validated table.
+    are computed once, in the constructor, from the validated table; only
+    n and h are compared, hashed and shown.
     """
 
-    n: int
-    h: tuple[tuple[int, ...], ...]
-    _even_betti: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _chi_p: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _odd_vanishing: bool = field(init=False, repr=False, compare=False)
-    _defect4: int = field(init=False, repr=False, compare=False)
+    _fields = ("n", "h")
+    __slots__ = (*_fields, "_even_betti", "_chi_p", "_odd_vanishing", "_defect4")
+
+    def __init__(self, n: int, h: tuple[tuple[int, ...], ...]):
+        set_field(self, "n", n)
+        set_field(self, "h", h)
+        # A method of its own, which bench/tracer.py rebinds to time it.
+        self.__post_init__()
 
     def __post_init__(self):
         n, h = self.n, self.h
@@ -78,18 +80,17 @@ class HodgeDiamond:
             i = next(i for i, x in enumerate(flat) if x != flat[-1 - i])
             p, q = divmod(i, size)
             warnings.warn(
-                f"h[{p}][{q}] != h[{n - p}][{n - q}]", SerreDualityWarning, stacklevel=2
+                f"h[{p}][{q}] != h[{n - p}][{n - q}]", SerreDualityWarning, stacklevel=3
             )
 
         anti, even_rows, odd_rows, upper, weights = _layout(n)
         at = flat.__getitem__
         odd = tuple(map(sum, map(at, odd_rows)))
-        setattr_ = object.__setattr__
-        setattr_(self, "_even_betti", tuple(map(sum, map(at, anti))))
-        setattr_(self, "_chi_p", tuple(map(sub, map(sum, map(at, even_rows)), odd)))
+        set_field(self, "_even_betti", tuple(map(sum, map(at, anti))))
+        set_field(self, "_chi_p", tuple(map(sub, map(sum, map(at, even_rows)), odd)))
         # Entries are nonnegative, so a zero sum means every entry is zero.
-        setattr_(self, "_odd_vanishing", not any(odd))
-        setattr_(self, "_defect4", sum(map(mul, weights, map(sum, map(at, upper)))))
+        set_field(self, "_odd_vanishing", not any(odd))
+        set_field(self, "_defect4", sum(map(mul, weights, map(sum, map(at, upper)))))
 
     @classmethod
     def from_table(cls, rows) -> "HodgeDiamond":

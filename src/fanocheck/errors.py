@@ -70,14 +70,14 @@ class LengthMismatch(ValidationError):
     """A coefficient list does not have the expected length n + 1."""
 
 
-class NegativeCoefficient(ValidationError):
-    """A polynomial that must have nonnegative coefficients does not;
-    usually means a non-smooth or non-projective input slipped through."""
-
-
 class ConsistencyError(FanocheckError):
     """Computed invariants violate a structural identity that holds for
     every smooth reflexive input; indicates a bug, not bad data."""
+
+
+class NegativeCoefficient(ConsistencyError):
+    """A polynomial that must have nonnegative coefficients does not: a
+    non-smooth or non-projective input got past the checks, which is a bug."""
 
 
 class SerreDualityWarning(UserWarning):

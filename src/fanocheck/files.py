@@ -9,13 +9,13 @@ and optional integer Chern numbers "c1_cn1" and "c_n".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 from .diamond import HodgeDiamond
 from .errors import ParseError
 from .lattice import FanoPolytope
+from .value import Value, set_field
 
 
 def decode_text(data: bytes) -> str:
@@ -89,13 +89,17 @@ def write_polytope(P: FanoPolytope, path, comment: str | None = None) -> None:
     Path(path).write_text(dumps_polytope(P, comment))
 
 
-@dataclass(frozen=True)
-class DiamondFile:
+class DiamondFile(Value):
     """A Hodge diamond plus whatever Chern numbers the file supplied."""
 
-    diamond: HodgeDiamond
-    c1_cn1: int | None = None
-    c_n: int | None = None
+    __slots__ = _fields = ("diamond", "c1_cn1", "c_n")
+
+    def __init__(
+        self, diamond: HodgeDiamond, c1_cn1: int | None = None, c_n: int | None = None
+    ):
+        set_field(self, "diamond", diamond)
+        set_field(self, "c1_cn1", c1_cn1)
+        set_field(self, "c_n", c_n)
 
 
 # Integers in a diamond file stay below this in absolute value.  The reported

@@ -16,32 +16,55 @@ exact and no floating point is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .diamond import HodgeDiamond, chi_p, defect
 from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
 from .invariants import ToricInvariants, chern_numbers
 from .lattice import FaceLattice, FanoPolytope
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Value):
     """Both sides of the identity plus the individual verdicts.
 
     rhs-dependent fields are None when the Chern numbers needed to compute
     them were not supplied; face_count_ok is only filled in toric mode.
     """
 
-    n: int
-    lhs: Fraction
-    defect: Fraction
-    rhs: Fraction | None = None
-    equality: bool | None = None
-    inequality_ok: bool | None = None
-    chi_identity_ok: bool | None = None
-    quarter_form_ok: bool | None = None
-    face_count_ok: bool | None = None
+    __slots__ = _fields = (
+        "n",
+        "lhs",
+        "defect",
+        "rhs",
+        "equality",
+        "inequality_ok",
+        "chi_identity_ok",
+        "quarter_form_ok",
+        "face_count_ok",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        lhs: Fraction,
+        defect: Fraction,
+        rhs: Fraction | None = None,
+        equality: bool | None = None,
+        inequality_ok: bool | None = None,
+        chi_identity_ok: bool | None = None,
+        quarter_form_ok: bool | None = None,
+        face_count_ok: bool | None = None,
+    ):
+        set_field(self, "n", n)
+        set_field(self, "lhs", lhs)
+        set_field(self, "defect", defect)
+        set_field(self, "rhs", rhs)
+        set_field(self, "equality", equality)
+        set_field(self, "inequality_ok", inequality_ok)
+        set_field(self, "chi_identity_ok", chi_identity_ok)
+        set_field(self, "quarter_form_ok", quarter_form_ok)
+        set_field(self, "face_count_ok", face_count_ok)
 
 
 def _weighted_sum4(values, n: int) -> int:
@@ -115,6 +138,13 @@ def check_betti_chern(
     quarter_form_ok whether the original-normalization identity holds.
     Each verdict compares the integer numerators over a common scale.
     """
+    return _betti_chern_report(diamond, c1_cn1, c_n)
+
+
+def _betti_chern_report(
+    diamond: HodgeDiamond, c1_cn1: int, c_n: int, face_count_ok: bool | None = None
+) -> IdentityReport:
+    """check_betti_chern's report, with face_count_ok as given."""
     if not diamond.is_odd_vanishing:
         raise HypothesisViolated(
             "diamond has nonzero odd cohomology; the inequality does not apply"
@@ -133,6 +163,7 @@ def check_betti_chern(
         inequality_ok=3 * lhs4 <= rhs12,
         chi_identity_ok=3 * _weighted_sum4(chi_p(diamond), n) == rhs12,
         quarter_form_ok=3 * quarter16 == quarter48,
+        face_count_ok=face_count_ok,
     )
 
 
@@ -159,8 +190,9 @@ def toric_identity_report(inv: ToricInvariants) -> IdentityReport:
     The diamond is the diagonal one built from the Betti numbers, so for a
     correct pipeline equality must hold with defect zero.
     """
-    report = check_betti_chern(
-        HodgeDiamond.from_betti(inv.betti), inv.c1_cn1, inv.c_n
+    return _betti_chern_report(
+        HodgeDiamond.from_betti(inv.betti),
+        inv.c1_cn1,
+        inv.c_n,
+        face_count_ok=_face_count_holds(inv.n, inv.f_vector, inv.c1_cn1),
     )
-    face_count_ok = _face_count_holds(inv.n, inv.f_vector, inv.c1_cn1)
-    return replace(report, face_count_ok=face_count_ok)

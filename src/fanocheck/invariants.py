@@ -14,7 +14,6 @@ is exponential in the dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -28,13 +27,16 @@ from .lattice import (
     facet_cones,
     facet_incidences,
 )
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Value):
     """Univariate polynomial with integer coefficients, index = degree."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        set_field(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, seq) -> "IntPolynomial":
@@ -191,20 +193,30 @@ def second_derivative_at_one(poly: IntPolynomial) -> int:
     return sum(k * (k - 1) * c for k, c in enumerate(poly.coeffs))
 
 
-@dataclass(frozen=True)
-class ToricInvariants:
+class ToricInvariants(Value):
     """Invariant bundle for one smooth toric Fano variety.
 
     betti[k] is h^{2k}; f_vector and edge_interior_total refer to the dual
     polytope.  All entries are exact integers.
     """
 
-    n: int
-    betti: tuple[int, ...]
-    c_n: int
-    c1_cn1: int
-    f_vector: tuple[int, ...]
-    edge_interior_total: int
+    __slots__ = _fields = ("n", "betti", "c_n", "c1_cn1", "f_vector", "edge_interior_total")
+
+    def __init__(
+        self,
+        n: int,
+        betti: tuple[int, ...],
+        c_n: int,
+        c1_cn1: int,
+        f_vector: tuple[int, ...],
+        edge_interior_total: int,
+    ):
+        set_field(self, "n", n)
+        set_field(self, "betti", betti)
+        set_field(self, "c_n", c_n)
+        set_field(self, "c1_cn1", c1_cn1)
+        set_field(self, "f_vector", f_vector)
+        set_field(self, "edge_interior_total", edge_interior_total)
 
 
 def _check_betti(betti, n: int) -> None:

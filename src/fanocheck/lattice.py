@@ -14,7 +14,6 @@ facets are the polytope's vertices, with the incidences transposed, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 # Not called here any more; bench/tracer.py rebinds it, and its traced run
 # stops when it is missing.
@@ -32,6 +31,7 @@ from .errors import (
     OriginNotInterior,
     RedundantVertex,
 )
+from .value import Value, set_field
 
 LatticePoint = tuple[int, ...]
 
@@ -136,32 +136,38 @@ def _adjacent(common: int, tights) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Value):
     """Closed halfspace {x : <normal, x> <= offset} with primitive normal."""
 
-    normal: LatticePoint
-    offset: int
+    __slots__ = _fields = ("normal", "offset")
+
+    def __init__(self, normal: LatticePoint, offset: int):
+        set_field(self, "normal", normal)
+        set_field(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Value):
     """A face given by its dimension and the indices of the polytope
     vertices lying on it."""
 
-    dim: int
-    vertex_indices: tuple[int, ...]
+    __slots__ = _fields = ("dim", "vertex_indices")
+
+    def __init__(self, dim: int, vertex_indices: tuple[int, ...]):
+        set_field(self, "dim", dim)
+        set_field(self, "vertex_indices", vertex_indices)
 
 
-@dataclass(frozen=True)
-class FaceLattice:
+class FaceLattice(Value):
     """All nonempty faces of a polytope, grouped by dimension.
 
     Level k holds the k-dimensional faces; the top level is the polytope
     itself.  The empty face is not represented.
     """
 
-    faces_by_dim: tuple[tuple[Face, ...], ...]
+    __slots__ = _fields = ("faces_by_dim",)
+
+    def __init__(self, faces_by_dim: tuple[tuple[Face, ...], ...]):
+        set_field(self, "faces_by_dim", faces_by_dim)
 
     @property
     def dim(self) -> int:
@@ -174,8 +180,7 @@ class FaceLattice:
         return tuple(len(level) for level in self.faces_by_dim)
 
 
-@dataclass(frozen=True)
-class FanoPolytope:
+class FanoPolytope(Value):
     """Full-dimensional lattice polytope with primitive vertices.
 
     Used both for the polytope spanned by the primitive ray generators in N
@@ -184,23 +189,25 @@ class FanoPolytope:
     the origin and vertex minimality are established by facet enumeration.
     """
 
-    dim: int
-    vertices: tuple[LatticePoint, ...]
+    _fields = ("dim", "vertices")
+    # __dict__ holds the cached hull and cones; __weakref__ lets a weak
+    # reference see a polytope freed.
+    __slots__ = (*_fields, "__dict__", "__weakref__")
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidDimension(f"dimension must be >= 1, got {self.dim}")
-        if not self.vertices:
+    def __init__(self, dim: int, vertices: tuple[LatticePoint, ...]):
+        if dim < 1:
+            raise InvalidDimension(f"dimension must be >= 1, got {dim}")
+        if not vertices:
             raise DegenerateInput("empty vertex list")
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise DegenerateInput(
-                    f"vertex {v} has length {len(v)}, expected {self.dim}"
-                )
+        for v in vertices:
+            if len(v) != dim:
+                raise DegenerateInput(f"vertex {v} has length {len(v)}, expected {dim}")
             if _content(v) != 1:
                 raise NonPrimitiveVertex(f"vertex {v} is not primitive")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise DuplicateVertex("vertex list contains repeated points")
+        set_field(self, "dim", dim)
+        set_field(self, "vertices", vertices)
 
     @classmethod
     def from_vertices(cls, vertices) -> "FanoPolytope":
@@ -234,8 +241,7 @@ class FanoPolytope:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """A simplex facet of P seen as a maximal cone of P's fan.
 
     indices are the facet's vertex indices in increasing order, det is the
@@ -243,17 +249,29 @@ class Cone:
     is B^-1 (as rows) when det is +/-1, else None.
     """
 
-    indices: tuple[int, ...]
-    det: int
-    inverse: tuple[tuple[int, ...], ...] | None
+    __slots__ = _fields = ("indices", "det", "inverse")
+
+    def __init__(
+        self,
+        indices: tuple[int, ...],
+        det: int,
+        inverse: tuple[tuple[int, ...], ...] | None,
+    ):
+        set_field(self, "indices", indices)
+        set_field(self, "det", det)
+        set_field(self, "inverse", inverse)
 
 
-@dataclass(frozen=True)
-class _Hull:
+class _Hull(Value):
     """Facet halfspaces plus, per facet, the incident vertex indices."""
 
-    halfspaces: tuple[Halfspace, ...]
-    incidences: tuple[frozenset[int], ...]
+    __slots__ = _fields = ("halfspaces", "incidences")
+
+    def __init__(
+        self, halfspaces: tuple[Halfspace, ...], incidences: tuple[frozenset[int], ...]
+    ):
+        set_field(self, "halfspaces", halfspaces)
+        set_field(self, "incidences", incidences)
 
 
 def _scan(P: FanoPolytope) -> _Hull:
@@ -388,7 +406,7 @@ def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
             for i in order
         ),
     )
-    object.__setattr__(delta, "hull", transposed)
+    set_field(delta, "hull", transposed)
     return delta
 
 

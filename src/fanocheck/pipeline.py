@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -33,6 +32,7 @@ from .errors import (
 from .files import DiamondFile, decode_text, loads_diamond, loads_polytope
 from .invariants import ToricInvariants, toric_invariants
 from .lattice import FanoPolytope, polar_dual, reflexive_dual
+from .value import Value, set_field
 
 # Not called here any more.  bench/tracer.py rebinds these four names (and
 # lattice.combinations), and its traced run stops when one is missing.
@@ -58,15 +58,24 @@ class CheckStatus(enum.Enum):
         }[self]
 
 
-@dataclass(frozen=True)
-class ToricAnalysis:
+class ToricAnalysis(Value):
     """Everything computed for one validated smooth toric Fano polytope."""
 
-    polytope: FanoPolytope
-    delta: FanoPolytope
-    invariants: ToricInvariants
-    report: idmod.IdentityReport
-    consistency: dict[str, bool]
+    __slots__ = _fields = ("polytope", "delta", "invariants", "report", "consistency")
+
+    def __init__(
+        self,
+        polytope: FanoPolytope,
+        delta: FanoPolytope,
+        invariants: ToricInvariants,
+        report: idmod.IdentityReport,
+        consistency: dict[str, bool],
+    ):
+        set_field(self, "polytope", polytope)
+        set_field(self, "delta", delta)
+        set_field(self, "invariants", invariants)
+        set_field(self, "report", report)
+        set_field(self, "consistency", consistency)
 
 
 # Repeats in a batch are rarely 64 distinct inputs apart; a long batch of
@@ -157,15 +166,25 @@ def _report_dict(report: idmod.IdentityReport) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class EntryReport:
-    """Outcome of checking one input."""
+class EntryReport(Value):
+    """Outcome of checking one input; mode is "toric" or "diamond", and
+    payload is a new dict unless one is given."""
 
-    name: str
-    mode: str  # "toric" or "diamond"
-    status: CheckStatus
-    error: str | None = None
-    payload: dict = field(default_factory=dict)
+    __slots__ = _fields = ("name", "mode", "status", "error", "payload")
+
+    def __init__(
+        self,
+        name: str,
+        mode: str,
+        status: CheckStatus,
+        error: str | None = None,
+        payload: dict | None = None,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "mode", mode)
+        set_field(self, "status", status)
+        set_field(self, "error", error)
+        set_field(self, "payload", {} if payload is None else payload)
 
     @property
     def passed(self) -> bool:
@@ -347,11 +366,13 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     return EntryReport(name, "diamond" if is_diamond else "toric", status, error=error)
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Value):
     """Per-entry reports plus order-independent aggregate counts."""
 
-    entries: tuple[EntryReport, ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[EntryReport, ...]):
+        set_field(self, "entries", entries)
 
     @property
     def counts(self) -> dict[str, int]:

@@ -243,31 +243,58 @@ class TestClosedStdout:
         finally:
             os.close(fd)
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_closed_pipe(self, fmt):
-        # buffered stdout, so that the report is still buffered at exit
+    @staticmethod
+    def run_closed(args, cwd=None) -> tuple[int, bytes]:
+        """Exit code and stderr of `fanocheck ARGS` in a child whose stdout
+        is a pipe with its read end closed."""
+        # buffered stdout, so that the output is still buffered at exit
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         read, write = os.pipe()
         os.close(read)
         try:
             child = subprocess.run(
-                [sys.executable, "-c", "from fanocheck.cli import main; main()",
-                 "batch", "--format", fmt, str(FIXTURES)],
+                [sys.executable, "-c", "from fanocheck.cli import main; main()", *args],
                 stdout=write,
                 stderr=subprocess.PIPE,
                 env=dict(env, PYTHONPATH=str(SRC)),
+                cwd=cwd,
                 timeout=60,
             )
         finally:
             os.close(write)
-        assert (child.returncode, child.stderr) == (141, b"")
+        return child.returncode, child.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_pipe(self, fmt):
+        assert self.run_closed(["batch", "--format", fmt, str(FIXTURES)]) == (141, b"")
+
+    @pytest.mark.parametrize(
+        "args, written",
+        [
+            (["gen", "pn", "2", "-o", "p2.poly"], ["p2.poly"]),
+            (
+                ["gen", "sum", str(FIXTURES / "p2.poly"), str(FIXTURES / "p3.poly"),
+                 "-o", "sum.poly"],
+                ["sum.poly"],
+            ),
+            (
+                ["corpus", "dim2", "-o", "corpus"],
+                [f"corpus/{name}.poly" for name in ("p2", "p1xp1", "bl1p2", "bl2p2", "bl3p2")],
+            ),
+        ],
+    )
+    def test_generators_closed_pipe(self, tmp_path, args, written):
+        assert self.run_closed(args, cwd=tmp_path) == (141, b"")
+        for name in written:
+            assert run_cli(["check", tmp_path / name]).exit_code == 0
 
 
 class TestStartup:
     def test_import_loads_only_what_a_check_runs(self):
         code = (
             "import sys, fanocheck.cli; print(' '.join(m for m in "
-            "('click', 'logging', 'concurrent.futures', 'fanocheck.corpus') "
+            "('click', 'logging', 'concurrent.futures', 'fanocheck.corpus', "
+            "'dataclasses', 'inspect') "
             "if m in sys.modules))"
         )
         child = subprocess.run(

@@ -23,7 +23,7 @@ from fanocheck import (
     run_check,
 )
 from fanocheck import pipeline
-from fanocheck.errors import ConsistencyError
+from fanocheck.errors import ConsistencyError, NegativeCoefficient
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
 
 from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond, run_cli
@@ -277,6 +277,18 @@ class TestRunBatch:
         assert report.exit_status == CheckStatus.INTERNAL_ERROR.exit_code == 3
         # the traceback goes to the log
         assert [r.exc_info[0] for r in caplog.records] == [ConsistencyError]
+
+    def test_negative_coefficient_is_an_internal_error(self, monkeypatch):
+        # It signals a bug in the program, so it is not reported as bad input.
+        def broken(P, delta):
+            raise NegativeCoefficient("polynomial 1 - t + t^2 has a negative coefficient")
+
+        monkeypatch.setattr(pipeline, "toric_invariants", broken)
+        clear_caches()
+        entry = run_check(FIXTURES / "p2.poly")
+        assert entry.status is CheckStatus.INTERNAL_ERROR
+        assert entry.error.startswith("NegativeCoefficient: ")
+        assert run_cli(["check", FIXTURES / "p2.poly"]).exit_code == 3
 
     def test_entries_just_below_the_bound_pass(self, tmp_path):
         path = tmp_path / "top.json"
