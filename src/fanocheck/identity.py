@@ -188,7 +188,10 @@ def toric_identity_report(inv: ToricInvariants) -> IdentityReport:
     """Identity report for a smooth toric Fano given its computed invariants.
 
     The diamond is the diagonal one built from the Betti numbers, so for a
-    correct pipeline equality must hold with defect zero.
+    correct pipeline equality must hold with defect zero.  Here c_n is the
+    sum of the Betti numbers and the Betti list is palindromic, so
+    chi_identity_ok, quarter_form_ok and face_count_ok each equal equality
+    by construction: they restate it and cannot disagree with it.
     """
     return _betti_chern_report(
         HodgeDiamond.from_betti(inv.betti),

@@ -21,6 +21,7 @@ from .errors import ConsistencyError, NegativeCoefficient
 from .lattice import (
     FaceLattice,
     FanoPolytope,
+    _bits,
     _content,
     _dot,
     edge_interior_points,
@@ -139,13 +140,14 @@ def chern_numbers(delta: FanoPolytope, faces: FaceLattice) -> tuple[int, int]:
 
 
 def _walls(facets) -> list[tuple[int, int, int, int]]:
-    """One (a, i, b, j) per wall of a simplicial fan: facets a and b share
-    every vertex but i, which only a holds, and j, which only b holds."""
+    """One (a, i, b, j) per wall of a simplicial fan, from the facets'
+    vertex masks: facets a and b share every vertex but i, which only a
+    holds, and j, which only b holds."""
     walls = []
-    half_walls: dict[frozenset[int], tuple[int, int]] = {}
+    half_walls: dict[int, tuple[int, int]] = {}
     for a, inc in enumerate(facets):
-        for i in inc:
-            wall = inc - {i}
+        for i in _bits(inc):
+            wall = inc & ~(1 << i)
             if wall in half_walls:
                 b, j = half_walls.pop(wall)
                 walls.append((a, i, b, j))
@@ -259,7 +261,7 @@ def toric_invariants(P: FanoPolytope, delta: FanoPolytope) -> tuple[ToricInvaria
 
     u = delta.vertices
     lengths = [_content([x - y for x, y in zip(u[a], u[b])]) for a, _, b, _ in walls]
-    two_faces = {inc - pair for inc in facets for pair in map(frozenset, combinations(inc, 2))}
+    two_faces = {inc & ~(1 << i | 1 << j) for inc in facets for i, j in combinations(_bits(inc), 2)}
     counted = (len(walls), len(two_faces))
     consistent = degrees == lengths and counted == (fvec[1], fvec[2] if n >= 2 else 0)
     c1_cn1 = sum(lengths)

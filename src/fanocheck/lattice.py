@@ -3,6 +3,8 @@
 Vertices are tuples of Python ints, so every computation here is exact at
 arbitrary precision.  Facets are found by integer double description, in
 time polynomial in the number of vertices and facets for a fixed dimension.
+Each facet's vertices are one int bitmask, bit i for vertex i, throughout;
+a listed point is a vertex when the facets through it meet in it alone.
 
 Each polytope is scanned at most once: its hull is a cached property of the
 polytope, and so is one fraction-free inverse per simplex facet once
@@ -14,11 +16,12 @@ facets are the polytope's vertices, with the incidences transposed, so
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 # Not called here any more; bench/tracer.py rebinds it, and its traced run
 # stops when it is missing.
 from itertools import combinations  # noqa: F401
 from math import gcd
+from operator import and_
 
 from .errors import (
     DegenerateEdge,
@@ -82,11 +85,11 @@ def _adjugate(rows) -> tuple[int, list[list[int]]]:
     return sign * prev, [[sign * a for a in row[n:]] for row in m]
 
 
-def _independent(rows, limit: int) -> list[int]:
+def _independent(rows) -> list[int]:
     """Indices of a maximal linearly independent subset of the rows, taken
-    greedily in order, stopping once `limit` are found.  Exact: each row is
-    reduced against the ones kept by cross-multiplication, then divided by
-    its content, so entries stay small."""
+    greedily in order.  Exact: each row is reduced against the ones kept by
+    cross-multiplication, then divided by its content, so entries stay
+    small."""
     chosen: list[int] = []
     echelon: list[tuple[int, list[int]]] = []
     for idx, row in enumerate(rows):
@@ -100,14 +103,7 @@ def _independent(rows, limit: int) -> list[int]:
             g = _content(row)
             echelon.append((col, [a // g for a in row]))
             chosen.append(idx)
-            if len(chosen) == limit:
-                break
     return chosen
-
-
-def _int_rank(rows) -> int:
-    """Rank of an integer matrix."""
-    return len(_independent(rows, len(rows[0]))) if rows else 0
 
 
 def _affine_rank(points) -> int:
@@ -120,7 +116,12 @@ def _affine_basis(points) -> list[int]:
     taken greedily in order (so its size is the affine rank plus one)."""
     base = points[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return [0] + [i + 1 for i in _independent(diffs, len(base))]
+    return [0] + [i + 1 for i in _independent(diffs)]
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask, in increasing order."""
+    return tuple(i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1")
 
 
 def _adjacent(common: int, tights) -> bool:
@@ -228,10 +229,10 @@ class FanoPolytope(Value):
         one elimination per facet, on first use."""
         out: list[Cone | None] = []
         for inc in self.hull.incidences:
-            if len(inc) != self.dim:
+            if inc.bit_count() != self.dim:
                 out.append(None)
                 continue
-            indices = tuple(sorted(inc))
+            indices = _bits(inc)
             det, adj = _adjugate([self.vertices[i] for i in indices])
             inverse = None
             if det in (1, -1):
@@ -263,13 +264,11 @@ class Cone(Value):
 
 
 class _Hull(Value):
-    """Facet halfspaces plus, per facet, the incident vertex indices."""
+    """Facet halfspaces plus, per facet, the mask of its vertices."""
 
     __slots__ = _fields = ("halfspaces", "incidences")
 
-    def __init__(
-        self, halfspaces: tuple[Halfspace, ...], incidences: tuple[frozenset[int], ...]
-    ):
+    def __init__(self, halfspaces: tuple[Halfspace, ...], incidences: tuple[int, ...]):
         set_field(self, "halfspaces", halfspaces)
         set_field(self, "incidences", incidences)
 
@@ -285,6 +284,9 @@ def _scan(P: FanoPolytope) -> _Hull:
     every adjacent pair on opposite sides is combined into a ray on its
     hyperplane, tight on the pair's shared vertices and the new one.
     Rays are kept primitive, with their tight vertex sets as bitmasks.
+    Point i is a vertex iff the masks of the facets through it meet in
+    1 << i: any other point lies inside a face with >= 2 listed vertices,
+    or inside P, where no facet holds it and the meet is -1, that of none.
     """
     verts = P.vertices
     n = P.dim
@@ -329,24 +331,16 @@ def _scan(P: FanoPolytope) -> _Hull:
                 kept.append((tuple(a // g for a in r), common | bit))
         rays = kept
 
-    halfspaces = [Halfspace(r[:n], r[n]) for r, _ in rays]
-    incidences = [frozenset(i for i in range(nv) if t >> i & 1) for _, t in rays]
-    if any(h.offset <= 0 for h in halfspaces):
+    rays.sort(key=lambda ray: (ray[0][n], ray[0][:n]))
+    hull = _Hull(tuple(Halfspace(r[:n], r[n]) for r, _ in rays), tuple(t for _, t in rays))
+    if any(h.offset <= 0 for h in hull.halfspaces):
         raise OriginNotInterior(
             "a facet inequality has offset <= 0; the origin is not strictly interior"
         )
     for idx in range(nv):
-        touching = [h.normal for h, inc in zip(halfspaces, incidences) if idx in inc]
-        if _int_rank(touching) < n:
-            raise RedundantVertex(
-                f"point {verts[idx]} is not a vertex of the convex hull"
-            )
-
-    order = sorted(range(len(halfspaces)), key=lambda i: (halfspaces[i].offset, halfspaces[i].normal))
-    return _Hull(
-        tuple(halfspaces[i] for i in order),
-        tuple(incidences[i] for i in order),
-    )
+        if reduce(and_, (t for t in hull.incidences if t >> idx & 1), -1) != 1 << idx:
+            raise RedundantVertex(f"point {verts[idx]} is not a vertex of the convex hull")
+    return hull
 
 
 def facet_enumeration(P: FanoPolytope) -> tuple[Halfspace, ...]:
@@ -359,8 +353,9 @@ def facet_enumeration(P: FanoPolytope) -> tuple[Halfspace, ...]:
     return P.hull.halfspaces
 
 
-def facet_incidences(P: FanoPolytope) -> tuple[frozenset[int], ...]:
-    """Vertex index sets of the facets, aligned with facet_enumeration."""
+def facet_incidences(P: FanoPolytope) -> tuple[int, ...]:
+    """Per facet, aligned with facet_enumeration, the int bitmask of the
+    vertices on it: bit i is set when vertex i lies on the facet."""
     return P.hull.incidences
 
 
@@ -393,16 +388,15 @@ def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
     the dual's hull is P's, transposed, without a scan.
     Applying it twice returns the original vertex set.
     """
-    hull = P.hull
-    if not all(h.offset == 1 for h in hull.halfspaces):
+    if not is_reflexive(P):
         raise NotReflexive("a facet lies at lattice distance != 1 from the origin")
-    delta = FanoPolytope(P.dim, tuple(_neg(h.normal) for h in hull.halfspaces))
+    delta = FanoPolytope(P.dim, tuple(_neg(h.normal) for h in P.hull.halfspaces))
     # The order a scan gives: by (offset, normal), and every offset is 1.
     order = sorted(range(len(P.vertices)), key=lambda i: _neg(P.vertices[i]))
     transposed = _Hull(
         tuple(Halfspace(_neg(P.vertices[i]), 1) for i in order),
         tuple(
-            frozenset(j for j, inc in enumerate(hull.incidences) if i in inc)
+            sum(1 << j for j, inc in enumerate(P.hull.incidences) if inc >> i & 1)
             for i in order
         ),
     )
@@ -435,11 +429,11 @@ def face_lattice(P: FanoPolytope) -> FaceLattice:
     """All nonempty faces of P, from the closure of facet-set intersections.
 
     Every face of a polytope is an intersection of the facets containing it,
-    so intersecting vertex incidence sets until closure enumerates exactly
+    so intersecting facet vertex masks until closure enumerates exactly
     the nonempty faces; the polytope itself is the unique top face.
     """
     incidences = P.hull.incidences
-    full = frozenset(range(len(P.vertices)))
+    full = (1 << len(P.vertices)) - 1
     found = {full}
     stack = [full]
     while stack:
@@ -451,10 +445,10 @@ def face_lattice(P: FanoPolytope) -> FaceLattice:
                 stack.append(sub)
 
     by_dim: list[list[Face]] = [[] for _ in range(P.dim + 1)]
-    for index_set in found:
-        pts = [P.vertices[i] for i in index_set]
-        d = _affine_rank(pts)
-        by_dim[d].append(Face(d, tuple(sorted(index_set))))
+    for mask in found:
+        indices = _bits(mask)
+        d = _affine_rank([P.vertices[i] for i in indices])
+        by_dim[d].append(Face(d, indices))
     for level in by_dim:
         level.sort(key=lambda f: f.vertex_indices)
     return FaceLattice(tuple(tuple(level) for level in by_dim))

@@ -2,13 +2,17 @@
 
 `reference_scan` is the former facet enumeration, kept as the reference:
 it tries every n-subset of the vertices, takes the hyperplane through it,
-and keeps it when all vertices lie on one side.  It is exponential in n,
-so the property below runs it only in dimensions 2 to 4.
+and keeps it when all vertices lie on one side.  It tells vertices by the
+rank of the normals of the facets through them, where `_scan` meets the
+facets' vertex masks, and raises the same messages, so the property pins
+which point each names.  It is exponential in n, so the property below
+runs it only in dimensions 2 to 4.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -90,16 +94,18 @@ def reference_scan(P: FanoPolytope) -> _Hull:
         incidences.append(frozenset(i for i, s in enumerate(sides) if s == 0))
 
     if any(h.offset <= 0 for h in halfspaces):
-        raise OriginNotInterior("a facet inequality has offset <= 0")
+        raise OriginNotInterior(
+            "a facet inequality has offset <= 0; the origin is not strictly interior"
+        )
     for idx in range(nv):
         touching = [h.normal for h, inc in zip(halfspaces, incidences) if idx in inc]
         if reference_int_rank(touching) < n:
-            raise RedundantVertex(f"point {verts[idx]} is not a vertex")
+            raise RedundantVertex(f"point {verts[idx]} is not a vertex of the convex hull")
 
     order = sorted(range(len(halfspaces)), key=lambda i: (halfspaces[i].offset, halfspaces[i].normal))
     return _Hull(
         tuple(halfspaces[i] for i in order),
-        tuple(incidences[i] for i in order),
+        tuple(sum(1 << j for j in incidences[i]) for i in order),
     )
 
 
@@ -153,7 +159,7 @@ def outcome(scan, P):
     try:
         return scan(P)
     except ValidationError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,6 +169,17 @@ def outcome(scan, P):
 @example(FanoPolytope(2, ((1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0))))  # point on an edge
 @example(FanoPolytope(2, ((3, 1), (1, 3), (-1, -1), (1, 1))))  # point inside
 @example(FanoPolytope(2, ((1, 0), (0, 1), (1, 1))))  # origin outside
+@example(FanoPolytope(3, (*product((1, -1), repeat=3), (1, 0, 0))))  # inside a 2-face
 def test_double_description_matches_subset_scan(P):
     assert outcome(_scan, P) == outcome(reference_scan, P)
 
+
+def test_point_inside_a_face_of_the_five_cube_is_named():
+    # (1, 1, 0, 0, 0) is the centre of a 3-face of conv{+-1}^5: the two
+    # facets through it, x_1 = 1 and x_2 = 1, meet in that face's 8
+    # vertices, not in the point alone.
+    point = (1, 1, 0, 0, 0)
+    P = FanoPolytope(5, (*product((1, -1), repeat=5), point))
+    with pytest.raises(RedundantVertex) as info:
+        _scan(P)
+    assert str(info.value) == f"point {point} is not a vertex of the convex hull"

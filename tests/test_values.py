@@ -49,7 +49,7 @@ SAMPLES = {
     "FaceLattice": lambda: FaceLattice(((Face(0, (0,)), Face(0, (1,))), (Face(1, (0, 1)),))),
     "FanoPolytope": _p2,
     "Cone": lambda: Cone((0, 1), 1, ((1, 0), (0, 1))),
-    "_Hull": lambda: _Hull((Halfspace((1, 0), 1),), (frozenset({0, 1}),)),
+    "_Hull": lambda: _Hull((Halfspace((1, 0), 1),), (0b11,)),
     "IntPolynomial": lambda: IntPolynomial((1, 1, 1)),
     "ToricInvariants": lambda: ToricInvariants(
         n=2, betti=(1, 1, 1), c_n=3, c1_cn1=9, f_vector=(3, 3, 1), edge_interior_total=6
