@@ -22,21 +22,19 @@ from .value import Value, set_field
 @lru_cache(maxsize=32)
 def _layout(n: int):
     """Slices of the row-major flattened (n+1) x (n+1) table: the even
-    antidiagonals p + q = 2k, the even- and odd-degree halves of each row,
-    the upper diagonals q - p = d for d = 1..n, and the weights 2 d^2 that
-    turn the upper diagonal sums into the defect sum of a Hodge-symmetric
-    table."""
+    antidiagonals p + q = 2k, the odd-degree half of each row, and the upper
+    diagonals q - p = d for d = 1..n, with the weights 2 d^2 that turn the
+    upper diagonal sums into the defect sum of a Hodge-symmetric table."""
     size = n + 1
     anti = []
     for s in range(0, 2 * n + 1, 2):
         first, last = max(0, s - n), min(s, n)
         start = first * n + s  # index of (p, s - p) is p * n + s
         anti.append(slice(start, start + n * (last - first) + 1, n or 1))
-    even_rows = tuple(slice(p * size + p % 2, (p + 1) * size, 2) for p in range(size))
     odd_rows = tuple(slice(p * size + 1 - p % 2, (p + 1) * size, 2) for p in range(size))
     upper = tuple(slice(d, d + (n + 2) * (n - d) + 1, n + 2) for d in range(1, size))
     weights = tuple(2 * d * d for d in range(1, size))
-    return tuple(anti), even_rows, odd_rows, upper, weights
+    return tuple(anti), odd_rows, upper, weights
 
 
 class HodgeDiamond(Value):
@@ -61,7 +59,9 @@ class HodgeDiamond(Value):
         size = n + 1
         if n < 0 or len(h) != size or {*map(len, h)} != {size}:
             raise InvalidDiamond(f"table must be {size}x{size}")
-        if min(map(min, h)) < 0:
+        # Flattened once, for the sign and Serre tests and for every sum.
+        flat = tuple(chain.from_iterable(h))
+        if min(flat) < 0:
             raise InvalidDiamond("Hodge numbers must be nonnegative")
         if h[0][0] != 1:
             raise InvalidDiamond(f"h[0][0] must be 1, got {h[0][0]}")
@@ -75,7 +75,6 @@ class HodgeDiamond(Value):
                             f"but h[{q}][{p}]={h[q][p]}"
                         )
         # (n - p, n - q) sits at the mirror index of (p, q) in the flat table.
-        flat = tuple(chain.from_iterable(h))
         if flat != flat[::-1]:
             i = next(i for i, x in enumerate(flat) if x != flat[-1 - i])
             p, q = divmod(i, size)
@@ -83,11 +82,12 @@ class HodgeDiamond(Value):
                 f"h[{p}][{q}] != h[{n - p}][{n - q}]", SerreDualityWarning, stacklevel=3
             )
 
-        anti, even_rows, odd_rows, upper, weights = _layout(n)
+        anti, odd_rows, upper, weights = _layout(n)
         at = flat.__getitem__
         odd = tuple(map(sum, map(at, odd_rows)))
         set_field(self, "_even_betti", tuple(map(sum, map(at, anti))))
-        set_field(self, "_chi_p", tuple(map(sub, map(sum, map(at, even_rows)), odd)))
+        # chi_p is the row's sum with its odd-degree part taken off twice.
+        set_field(self, "_chi_p", tuple(map(sub, map(sub, map(sum, h), odd), odd)))
         # Entries are nonnegative, so a zero sum means every entry is zero.
         set_field(self, "_odd_vanishing", not any(odd))
         set_field(self, "_defect4", sum(map(mul, weights, map(sum, map(at, upper)))))

@@ -115,8 +115,8 @@ def _require_int(value, name: str) -> int:
     return value
 
 
-def _require_bounded(values, name: str) -> None:
-    if values and (max(values) >= INT_BOUND or min(values) <= -INT_BOUND):
+def _require_bounded(low, high, name: str) -> None:
+    if high >= INT_BOUND or low <= -INT_BOUND:
         raise ParseError(f"field {name!r} must be below 10**4000 in absolute value")
 
 
@@ -138,7 +138,9 @@ def loads_diamond(text: str) -> DiamondFile:
     if (
         not isinstance(rows, list)
         or len(rows) != n + 1
-        or any(not isinstance(r, list) or len(r) != n + 1 for r in rows)
+        # json.loads makes no list subclass, so `type is list` is exact.
+        or not {*map(type, rows)} <= {list}
+        or not {*map(len, rows)} <= {n + 1}
     ):
         raise ParseError(f"'h' must be a {n + 1}x{n + 1} table")
     entries = [*chain.from_iterable(rows)]
@@ -146,12 +148,13 @@ def loads_diamond(text: str) -> DiamondFile:
     if not {*map(type, entries)} <= {int}:
         for x in entries:
             _require_int(x, "h")
-    _require_bounded(entries, "h")
+    if entries:
+        _require_bounded(min(entries), max(entries), "h")
     chern = {}
     for name in ("c1_cn1", "c_n"):
         if name in obj:
-            chern[name] = _require_int(obj[name], name)
-            _require_bounded((chern[name],), name)
+            value = chern[name] = _require_int(obj[name], name)
+            _require_bounded(value, value, name)
     return DiamondFile(HodgeDiamond(n, tuple(map(tuple, rows))), **chern)
 
 

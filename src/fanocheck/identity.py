@@ -17,6 +17,8 @@ exact and no floating point is involved.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .diamond import HodgeDiamond, chi_p, defect
 from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
@@ -67,11 +69,22 @@ class IdentityReport(Value):
         set_field(self, "face_count_ok", face_count_ok)
 
 
+@lru_cache(maxsize=32)
+def _weights(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For k = 0..n, the weights (2k - n)^2 of the scaled weighted sums and
+    (2k - n + 1)(n + 1 - 2k) of the scaled original normalization."""
+    ks = range(n + 1)
+    return (
+        tuple((2 * k - n) ** 2 for k in ks),
+        tuple((2 * k - n + 1) * (n + 1 - 2 * k) for k in ks),
+    )
+
+
 def _weighted_sum4(values, n: int) -> int:
     """4 * sum_k values[k] * (k - n/2)^2, an integer."""
     if len(values) != n + 1:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(values)}")
-    return sum(v * (2 * k - n) ** 2 for k, v in enumerate(values))
+    return sum(map(mul, values, _weights(n)[0]))
 
 
 def _chern_side12(c1_cn1: int, c_n: int, n: int) -> int:
@@ -83,8 +96,7 @@ def _quarter_sides(betti, c1_cn1: int, n: int) -> tuple[int, int]:
     """16 * lhs and 48 * rhs of the original normalization, as integers."""
     if len(betti) != n + 1:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(betti)}")
-    lhs16 = sum(b * (2 * k - n + 1) * (n + 1 - 2 * k) for k, b in enumerate(betti))
-    return lhs16, (3 - n) * sum(betti) - 2 * c1_cn1
+    return sum(map(mul, betti, _weights(n)[1])), (3 - n) * sum(betti) - 2 * c1_cn1
 
 
 def weighted_betti_sum(betti, n: int) -> Fraction:

@@ -106,30 +106,47 @@ def clear_caches() -> None:
     analyze.cache_clear()
 
 
+# JSON text of each scalar type a report holds, by exact type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@lru_cache(maxsize=64)
+def _members(keys: tuple, pad: str) -> tuple[tuple[str, str], ...]:
+    """The keys in sorted order, each with the text that goes before its
+    value: pad, the key as JSON, and ": ".  Raises TypeError on a key that
+    is not str, as encode_basestring_ascii does."""
+    return tuple((k, f"{pad}{encode_basestring_ascii(k)}: ") for k in sorted(keys))
+
+
 def dumps_json(value, _pad: str = "\n") -> str:
     """JSON text of a report-shaped value (dicts with str keys, lists,
     str, int, bool, None), identical to json.dumps(value, indent=2,
     sort_keys=True); json.dumps runs its pure-Python encoder whenever
-    indent is set."""
+    indent is set.
+
+    A report repeats a few key sets in every entry, so each key set is
+    sorted and its keys encoded once per padding, in a bounded cache keyed
+    by the keys in insertion order; scalar values are written in place.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
     inner = _pad + "  "
     if kind is dict:
         if not value:
             return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not str
-        items = [
-            f"{encode_basestring_ascii(k)}: {dumps_json(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + _pad + "}"
+        items = []
+        for key, head in _members(tuple(value), inner):
+            v = value[key]
+            scalar = _SCALARS.get(type(v))
+            items.append(head + (scalar(v) if scalar is not None else dumps_json(v, inner)))
+        return "{" + ",".join(items) + _pad + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
@@ -297,11 +314,8 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
     violation.  Without both Chern numbers only the defect side is computed.
     """
     diamond = data.diamond
-    payload: dict = {
-        "n": diamond.n,
-        "betti": list(diamond.even_betti()),
-        "chi_p": list(chi_p(diamond)),
-    }
+    betti = diamond.even_betti()
+    payload: dict = {"n": diamond.n, "betti": list(betti), "chi_p": list(chi_p(diamond))}
     if not diamond.is_odd_vanishing:
         return EntryReport(
             name, "diamond", CheckStatus.VALIDATION_ERROR,
@@ -312,7 +326,7 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
         payload["identity"] = _report_dict(
             idmod.IdentityReport(
                 n=diamond.n,
-                lhs=idmod.weighted_betti_sum(diamond.even_betti(), diamond.n),
+                lhs=idmod.weighted_betti_sum(betti, diamond.n),
                 defect=defect(diamond),
             )
         )
@@ -325,6 +339,25 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
     payload["identity"] = _report_dict(report)
     status = CheckStatus.OK if report.inequality_ok else CheckStatus.IDENTITY_VIOLATION
     return EntryReport(name, "diamond", status, payload=payload)
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at path, read without a buffered file object.
+
+    An OSError names the path as open() would: os.read on a directory
+    raises without a file name, so the name is put back.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
@@ -342,8 +375,7 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     name = str(path)
     is_diamond = mode == "diamond"
     try:
-        with open(path, "rb") as f:
-            data = f.read()
+        data = _read(path)
         is_diamond = is_diamond or (mode == "auto" and data.lstrip().startswith(b"{"))
         text = decode_text(data)
         if is_diamond:
@@ -434,12 +466,20 @@ class RunReport(Value):
         return "".join(self.iter_text())
 
 
-def _expand_paths(paths) -> list[Path]:
-    out: list[Path] = []
+def _expand_paths(paths) -> list[str]:
+    """Each path as str(Path(p)), with a directory replaced by its *.poly
+    and *.json entries, named str(Path(p) / name)."""
+    out: list[str] = []
     for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            out.extend(q for q in p.iterdir() if q.suffix in (".poly", ".json"))
+        p = str(Path(p))
+        if os.path.isdir(p):
+            prefix = "" if p == "." else os.path.join(p, "")
+            # pathlib's suffix rule: ".json" alone is a name with no suffix
+            out.extend(
+                prefix + name
+                for name in os.listdir(p)
+                if name.endswith((".poly", ".json")) and len(name) > 5
+            )
         else:
             out.append(p)
     return out

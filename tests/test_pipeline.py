@@ -8,7 +8,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanocheck import (
@@ -326,6 +326,63 @@ class TestRunBatch:
         assert json.loads(text)["aggregate"]["exit_status"] == 2
 
 
+class TestInputFiles:
+    """Which files a batch reads, under which names, and what an unreadable
+    path reports."""
+
+    @pytest.mark.parametrize("mode", ["auto", "diamond"])
+    def test_unreadable_path_names_the_path(self, tmp_path, mode):
+        missing = tmp_path / "missing.json"
+        for path, error in (
+            (tmp_path, f"ParseError: [Errno 21] Is a directory: '{tmp_path}'"),
+            (missing, f"ParseError: [Errno 2] No such file or directory: '{missing}'"),
+        ):
+            entry = run_check(path, mode=mode)
+            assert entry.status is CheckStatus.PARSE_ERROR
+            assert entry.error == error
+            assert entry.mode == ("diamond" if mode == "diamond" else "toric")
+
+    def test_no_descriptor_left_open(self, tmp_path):
+        (tmp_path / "x.json").mkdir()
+        (tmp_path / "nonutf8.json").write_bytes(b'{"n": 0, "h": [[\xff]]}')
+        (tmp_path / "k3.json").write_bytes((FIXTURES / "k3.json").read_bytes())
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count open descriptors")
+        before = len(list(fds.iterdir()))
+        report = run_batch([tmp_path])
+        assert len(list(fds.iterdir())) == before
+        assert [e.status for e in report.entries] == [
+            CheckStatus.OK, CheckStatus.PARSE_ERROR, CheckStatus.PARSE_ERROR,
+        ]
+
+    def _directory(self, root):
+        for name in ("a.json", "..json", ".json", "c.JSON"):
+            (root / name).write_bytes((FIXTURES / "k3.json").read_bytes())
+        for name in ("b.poly", "d.txt"):
+            (root / name).write_bytes((FIXTURES / "p2.poly").read_bytes())
+        (root / "sub.json").mkdir()
+
+    def test_suffix_rule(self, tmp_path):
+        self._directory(tmp_path)
+        report = run_batch([tmp_path])
+        assert [(e.name, e.status) for e in report.entries] == [
+            (f"{tmp_path}/..json", CheckStatus.OK),
+            (f"{tmp_path}/a.json", CheckStatus.OK),
+            (f"{tmp_path}/b.poly", CheckStatus.OK),
+            (f"{tmp_path}/sub.json", CheckStatus.PARSE_ERROR),
+        ]
+
+    def test_current_directory_names_have_no_prefix(self, tmp_path, monkeypatch):
+        self._directory(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(["batch", ".", "--format", "json"])
+        names = [e["name"] for e in json.loads(result.output)["entries"]]
+        assert names == ["..json", "a.json", "b.poly", "sub.json"]
+        assert [e.name for e in run_batch(["./"]).entries] == names
+        assert [e.name for e in run_batch(["./a.json"]).entries] == ["a.json"]
+
+
 class TestJobsClamp:
     """run_batch starts at most min(jobs, inputs, CPU count) threads."""
 
@@ -409,8 +466,18 @@ report_values = st.recursive(
 
 class TestJsonEmitter:
     @given(report_values)
+    # One key set in both insertion orders and at two depths, so the
+    # emitter's key-order cache is filled and hit with each order.
+    @example([{"b": 1, "a": [2]}, {"a": "x", "b": None}, {"b": {"a": True, "b": 3}}])
     def test_matches_json_dumps(self, value):
         assert dumps_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_non_str_key_after_its_neighbours_are_cached(self):
+        cached = [{"a": 1, "b": 2}, {"b": 2, "a": 1}]
+        dumps_json(cached)
+        for bad in ({"a": 1, 2: "b"}, {1: "a"}, {2: "b", "a": 1}):
+            with pytest.raises(TypeError):
+                dumps_json([*cached, bad])
 
     def test_edge_values(self):
         for value in ([], {}, [[]], {"a": {}}, [True, 1, None], [-0, 10**100], "\ud800"):
