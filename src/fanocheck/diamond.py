@@ -57,7 +57,9 @@ class HodgeDiamond(Value):
     def __post_init__(self):
         n, h = self.n, self.h
         size = n + 1
-        if n < 0 or len(h) != size or {*map(len, h)} != {size}:
+        if n < 0:
+            raise InvalidDiamond(f"dimension must be >= 0, got {n}")
+        if len(h) != size or {*map(len, h)} != {size}:
             raise InvalidDiamond(f"table must be {size}x{size}")
         # Flattened once, for the sign and Serre tests and for every sum.
         flat = tuple(chain.from_iterable(h))

@@ -13,9 +13,12 @@ from itertools import chain
 from pathlib import Path
 
 from .diamond import HodgeDiamond
-from .errors import ParseError
-from .lattice import FanoPolytope
+from .errors import InvalidDiamond, ParseError
 from .value import Value, set_field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; diamond files never load lattice
+    from .lattice import FanoPolytope
 
 
 def decode_text(data: bytes) -> str:
@@ -31,6 +34,8 @@ def decode_text(data: bytes) -> str:
 def loads_polytope(text: str) -> FanoPolytope:
     """Parse polytope file contents.  Raises ParseError on malformed input;
     geometric validation errors from the constructor propagate unchanged."""
+    from .lattice import FanoPolytope
+
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -45,7 +50,7 @@ def loads_polytope(text: str) -> FanoPolytope:
     if len(fields) != 2:
         raise ParseError(f"line {lineno}: header must be 'n v', got {header!r}")
     try:
-        dim, count = int(fields[0]), int(fields[1])
+        dim, count = _bounded_ints(fields, f"line {lineno}: header field")
     except ValueError:
         raise ParseError(f"line {lineno}: header must hold two integers") from None
     if len(data_lines) - 1 != count:
@@ -60,7 +65,7 @@ def loads_polytope(text: str) -> FanoPolytope:
                 f"line {lineno}: expected {dim} coordinates, got {len(fields)}"
             )
         try:
-            vertices.append(tuple(int(x) for x in fields))
+            vertices.append(_bounded_ints(fields, f"line {lineno}: coordinate"))
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer coordinate") from None
     return FanoPolytope(dim, tuple(vertices))
@@ -115,9 +120,31 @@ def _require_int(value, name: str) -> int:
     return value
 
 
-def _require_bounded(low, high, name: str) -> None:
+def _require_bounded(low, high, what: str) -> None:
     if high >= INT_BOUND or low <= -INT_BOUND:
-        raise ParseError(f"field {name!r} must be below 10**4000 in absolute value")
+        raise ParseError(f"{what} must be below 10**4000 in absolute value")
+
+
+def _past_digit_limit(field: str) -> bool:
+    """True if field is a decimal integer with more than 4000 significant
+    digits, so at least INT_BOUND in absolute value; int() refuses one of
+    more than 4300 digits for its length alone."""
+    digits = (field[1:] if field[0] in "+-" else field).replace("_", "")
+    return digits.isdecimal() and len(digits.lstrip("0")) > 4000
+
+
+def _bounded_ints(fields, what: str) -> tuple[int, ...]:
+    """The (nonempty) fields as ints.  Raises ParseError, naming what,
+    when one is at least INT_BOUND in absolute value, and ValueError when
+    one is not an integer."""
+    try:
+        values = tuple(map(int, fields))
+    except ValueError:
+        if not any(map(_past_digit_limit, fields)):
+            raise
+        values = (INT_BOUND,)  # for the bound check below to name
+    _require_bounded(min(values), max(values), what)
+    return values
 
 
 def loads_diamond(text: str) -> DiamondFile:
@@ -134,6 +161,9 @@ def loads_diamond(text: str) -> DiamondFile:
     if "n" not in obj or "h" not in obj:
         raise ParseError("diamond file needs fields 'n' and 'h'")
     n = _require_int(obj["n"], "n")
+    if n < 0:
+        # as the constructor says it; no table has a negative size
+        raise InvalidDiamond(f"dimension must be >= 0, got {n}")
     rows = obj["h"]
     if (
         not isinstance(rows, list)
@@ -149,12 +179,12 @@ def loads_diamond(text: str) -> DiamondFile:
         for x in entries:
             _require_int(x, "h")
     if entries:
-        _require_bounded(min(entries), max(entries), "h")
+        _require_bounded(min(entries), max(entries), "field 'h'")
     chern = {}
     for name in ("c1_cn1", "c_n"):
         if name in obj:
             value = chern[name] = _require_int(obj[name], name)
-            _require_bounded(value, value, name)
+            _require_bounded(value, value, f"field {name!r}")
     return DiamondFile(HodgeDiamond(n, tuple(map(tuple, rows))), **chern)
 
 

@@ -22,9 +22,12 @@ from operator import mul
 
 from .diamond import HodgeDiamond, chi_p, defect
 from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
-from .invariants import ToricInvariants, chern_numbers
-from .lattice import FaceLattice, FanoPolytope
 from .value import Value, set_field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; diamond mode never loads these
+    from .invariants import ToricInvariants
+    from .lattice import FaceLattice, FanoPolytope
 
 
 class IdentityReport(Value):
@@ -185,6 +188,8 @@ def verify_face_count_identity(delta: FanoPolytope, faces: FaceLattice) -> bool:
     #2-faces = (1/12) * (interior points summed over edges)
              + (n^2/8 - n/6) * #vertices,  exactly.
     """
+    from .invariants import chern_numbers
+
     return _face_count_holds(delta.dim, faces.f_vector(), chern_numbers(delta, faces)[1])
 
 

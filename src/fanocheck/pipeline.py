@@ -13,13 +13,11 @@ from __future__ import annotations
 import enum
 import os
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import identity as idmod
-from .diamond import chi_p, defect
 from .errors import (
     DegenerateInput,
     NotReflexive,
@@ -29,15 +27,57 @@ from .errors import (
     RedundantVertex,
     ValidationError,
 )
-from .files import DiamondFile, decode_text, loads_diamond, loads_polytope
-from .invariants import ToricInvariants, toric_invariants
-from .lattice import FanoPolytope, polar_dual, reflexive_dual
 from .value import Value, set_field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
+
+    from .files import DiamondFile
+    from .invariants import ToricInvariants
+    from .lattice import FanoPolytope
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for `name` of the submodule `module`, bound to that name
+    here, so that a command compiles only the modules its inputs need.
+
+    Its first call imports the module and binds the name to the real
+    object, unless something else was bound to it since (bench/tracer.py's
+    wrappers, which must stay); every call is forwarded to the real object.
+    """
+    real = None
+
+    def stand_in(*args, **kwargs):
+        nonlocal real
+        if real is None:
+            real = getattr(import_module(f"{__package__}.{module}"), name)
+            if globals()[name] is stand_in:
+                globals()[name] = real
+        return real(*args, **kwargs)
+
+    return stand_in
+
+
+chi_p = _on_first_call("diamond", "chi_p")
+defect = _on_first_call("diamond", "defect")
+decode_text = _on_first_call("files", "decode_text")
+loads_diamond = _on_first_call("files", "loads_diamond")
+loads_polytope = _on_first_call("files", "loads_polytope")
+IdentityReport = _on_first_call("identity", "IdentityReport")
+check_betti_chern = _on_first_call("identity", "check_betti_chern")
+toric_identity_report = _on_first_call("identity", "toric_identity_report")
+weighted_betti_sum = _on_first_call("identity", "weighted_betti_sum")
+toric_invariants = _on_first_call("invariants", "toric_invariants")
+polar_dual = _on_first_call("lattice", "polar_dual")
+reflexive_dual = _on_first_call("lattice", "reflexive_dual")
 
 # Not called here any more.  bench/tracer.py rebinds these four names (and
 # lattice.combinations), and its traced run stops when one is missing.
-from .invariants import compute_invariants, second_derivative_at_one  # noqa: F401
-from .lattice import face_lattice, facet_enumeration  # noqa: F401
+compute_invariants = _on_first_call("invariants", "compute_invariants")
+second_derivative_at_one = _on_first_call("invariants", "second_derivative_at_one")
+face_lattice = _on_first_call("lattice", "face_lattice")
+facet_enumeration = _on_first_call("lattice", "facet_enumeration")
 
 
 class CheckStatus(enum.Enum):
@@ -68,7 +108,7 @@ class ToricAnalysis(Value):
         polytope: FanoPolytope,
         delta: FanoPolytope,
         invariants: ToricInvariants,
-        report: idmod.IdentityReport,
+        report: IdentityReport,
         consistency: dict[str, bool],
     ):
         set_field(self, "polytope", polytope)
@@ -95,7 +135,7 @@ def analyze(P: FanoPolytope) -> ToricAnalysis:
         polytope=P,
         delta=delta,
         invariants=inv,
-        report=idmod.toric_identity_report(inv),
+        report=toric_identity_report(inv),
         consistency={"fan_vs_dual": consistent},
     )
 
@@ -172,7 +212,7 @@ _VERDICTS = (
 )
 
 
-def _report_dict(report: idmod.IdentityReport) -> dict:
+def _report_dict(report: IdentityReport) -> dict:
     out = {
         "lhs": _frac_str(report.lhs),
         "defect": _frac_str(report.defect),
@@ -324,16 +364,16 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
         )
     if data.c1_cn1 is None or data.c_n is None:
         payload["identity"] = _report_dict(
-            idmod.IdentityReport(
+            IdentityReport(
                 n=diamond.n,
-                lhs=idmod.weighted_betti_sum(betti, diamond.n),
+                lhs=weighted_betti_sum(betti, diamond.n),
                 defect=defect(diamond),
             )
         )
         payload["note"] = "Chern numbers missing; rhs verifications skipped"
         return EntryReport(name, "diamond", CheckStatus.OK, payload=payload)
 
-    report = idmod.check_betti_chern(diamond, data.c1_cn1, data.c_n)
+    report = check_betti_chern(diamond, data.c1_cn1, data.c_n)
     payload["c_n"] = data.c_n
     payload["c1_cn1"] = data.c1_cn1
     payload["identity"] = _report_dict(report)
@@ -494,6 +534,12 @@ def run_batch(paths, jobs: int = 1) -> RunReport:
     holds only finished results), so thread workers are safe; entries are
     sorted by input name, making the report independent of execution order.
     """
+    if jobs > 1:
+        # The check modules are imported here, in the main thread and before
+        # the paths are listed: imported inside a worker thread, they leave
+        # the process about 1 MB larger.
+        for module in ("diamond", "files", "identity", "invariants", "lattice"):
+            import_module(f"{__package__}.{module}")
     files = _expand_paths(paths)
     workers = min(jobs, len(files), os.cpu_count() or 1)
     if workers > 1:

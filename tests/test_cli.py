@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -289,6 +290,39 @@ class TestClosedStdout:
             assert run_cli(["check", tmp_path / name]).exit_code == 0
 
 
+_CHECK_MODULES = {
+    f"fanocheck.{m}" for m in ("diamond", "files", "identity", "invariants", "lattice")
+}
+
+
+def _child(code: str, *args) -> str:
+    """stdout of `python -c code ARGS` in a fresh interpreter."""
+    child = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+        check=True,
+    )
+    return child.stdout
+
+
+def _loaded_after(args) -> set[str]:
+    """The modules a fresh interpreter has loaded after `fanocheck ARGS`."""
+    code = (
+        "import sys, io\n"
+        "from fanocheck.cli import main\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "out.write(' '.join(sys.modules))\n"
+    )
+    return set(_child(code, *args).split())
+
+
 class TestStartup:
     def test_import_loads_only_what_a_check_runs(self):
         code = (
@@ -297,15 +331,94 @@ class TestStartup:
             "'dataclasses', 'inspect') "
             "if m in sys.modules))"
         )
-        child = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            timeout=60,
-            check=True,
+        assert _child(code) == "\n"
+
+    def test_empty_batch_loads_no_check_module(self, tmp_path):
+        assert not _loaded_after(["batch", tmp_path]) & (_CHECK_MODULES | {"fractions"})
+
+    def test_diamond_batch_loads_no_toric_module(self, tmp_path):
+        for name in ("k3.json", "asym.json", "k3_no_chern.json"):
+            shutil.copy(FIXTURES / name, tmp_path)
+        loaded = _loaded_after(["batch", tmp_path, "--format", "json"])
+        assert loaded & _CHECK_MODULES == {
+            "fanocheck.diamond",
+            "fanocheck.files",
+            "fanocheck.identity",
+        }
+
+    def test_polytope_check_loads_every_check_module(self):
+        assert _CHECK_MODULES <= _loaded_after(["check", FIXTURES / "p2.poly"])
+
+    def test_tracer_names_exist_before_a_check(self):
+        source = (SRC.parent / "bench" / "tracer.py").read_text()
+        names = sorted(set(re.findall(r"(?<![\w.\"])pipeline\.(\w+)", source)))
+        assert {"polar_dual", "loads_diamond", "compute_invariants"} <= set(names)
+        code = (
+            "import sys; from fanocheck import pipeline; "
+            f"print([n for n in {names!r} if not callable(getattr(pipeline, n, None))], "
+            f"sorted({{*sys.modules}} & {_CHECK_MODULES!r}))"
         )
-        assert child.stdout == "\n"
+        assert _child(code) == "[] []\n"
+
+    def test_wrappers_set_before_a_check_are_kept(self):
+        code = f"""
+import json
+from fanocheck import pipeline
+
+calls = dict.fromkeys(("polar_dual", "loads_diamond", "chi_p"), 0)
+wrappers = {{}}
+for name in calls:
+    def wrapper(*args, _name=name, _real=getattr(pipeline, name)):
+        calls[_name] += 1
+        return _real(*args)
+    wrappers[name] = wrapper
+    setattr(pipeline, name, wrapper)
+pipeline.run_batch([{str(FIXTURES)!r}])
+print(json.dumps([calls, [getattr(pipeline, n) is w for n, w in wrappers.items()]]))
+"""
+        calls, kept = json.loads(_child(code))
+        # 6 of the polytope files parse and go to polar_dual; 5 files are
+        # diamond files, and 4 of them hold a valid table
+        assert calls == {"polar_dual": 6, "loads_diamond": 5, "chi_p": 4}
+        assert kept == [True, True, True]
+
+    def test_threads_report_what_one_worker_does(self):
+        code = (
+            "from fanocheck.pipeline import run_batch; "
+            f"print(run_batch([{str(FIXTURES)!r}], jobs=2).to_json() == "
+            f"run_batch([{str(FIXTURES)!r}], jobs=1).to_json())"
+        )
+        assert _child(code) == "True\n"
+
+    def test_first_calls_race_in_threads(self):
+        # Eight threads make the first calls of every stand-in at once,
+        # switching every microsecond, with no module imported beforehand.
+        code = f"""
+import os, sys, threading
+from fanocheck.pipeline import RunReport, run_check
+
+paths = sorted(os.path.join({str(FIXTURES)!r}, n) for n in os.listdir({str(FIXTURES)!r}))
+start = threading.Barrier(8)
+reports = []
+
+def work():
+    start.wait()
+    reports.append(RunReport(tuple(map(run_check, paths))).to_json())
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=50)
+finally:
+    sys.setswitchinterval(interval)
+sequential = RunReport(tuple(map(run_check, paths))).to_json()
+print(any(t.is_alive() for t in threads), len(reports), set(reports) == {{sequential}})
+"""
+        assert _child(code) == "False 8 True\n"
 
     def test_public_names_resolve(self):
         for name in fanocheck.__all__:

@@ -210,7 +210,9 @@ def ref_euler(d):
 def ref_validate(n, h):
     """The constructor's checks, entry by entry; raises or warns alike."""
     size = n + 1
-    if n < 0 or len(h) != size or any(len(row) != size for row in h):
+    if n < 0:
+        raise InvalidDiamond(f"dimension must be >= 0, got {n}")
+    if len(h) != size or any(len(row) != size for row in h):
         raise InvalidDiamond(f"table must be {size}x{size}")
     if any(x < 0 for row in h for x in row):
         raise InvalidDiamond("Hodge numbers must be nonnegative")
@@ -283,6 +285,10 @@ class TestSumsMatchReference:
         assert type(got) is Fraction
         assert got == ref_defect(d)
 
+    def test_negative_dimension(self):
+        with pytest.raises(InvalidDiamond, match=r"^dimension must be >= 0, got -1$"):
+            HodgeDiamond(-1, ())
+
     def test_edge_sizes(self):
         point = HodgeDiamond(0, ((1,),))
         assert (point.even_betti(), chi_p(point), point.is_odd_vanishing) == ((1,), (1,), True)
@@ -313,6 +319,7 @@ class TestConstructorMatchesReference:
             [[1, 0, 0], [0, 5, 0], [0, 0, 3]],  # Serre break on the diagonal
             [[1, 0, 4], [0, 5, 0], [4, 0, 3]],
             [[1, 0], [0, 1, 0]],  # bad shape
+            [],  # n = -1: no table has a negative size
         ],
     )
     def test_examples(self, table):

@@ -78,8 +78,31 @@ class TestPolytopeFiles:
             loads_polytope("2 2\n1 0 0\n0 1\n")
 
     def test_non_integer(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^line 2: non-integer coordinate$"):
             loads_polytope("2 2\n1.5 0\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "value", [10**4000, -(10**4000), 10**4299 - 1, "9" * 5000, "-" + "9" * 5000]
+    )
+    def test_coordinate_bound_names_the_line(self, value):
+        with pytest.raises(
+            ParseError, match=r"^line 4: coordinate must be below 10\*\*4000 in absolute value$"
+        ):
+            loads_polytope(f"2 3\n1 0\n0 1\n-1 {value}\n")
+
+    @pytest.mark.parametrize("value", [10**4000, "9" * 5000])
+    def test_header_bound_names_the_line(self, value):
+        with pytest.raises(
+            ParseError, match=r"^line 2: header field must be below 10\*\*4000 in absolute value$"
+        ):
+            loads_polytope(f"# comment\n2 {value}\n1 0\n")
+
+    def test_coordinate_just_below_bound(self):
+        top = 10**4000 - 1  # top and 1 are coprime, so the vertex is primitive
+        P = loads_polytope(f"2 3\n1 0\n0 1\n{-top} 1\n")
+        assert P.vertices[2] == (-top, 1)
+        with pytest.raises(ParseError, match=r"^expected 9{4000} vertex lines, found 1$"):
+            loads_polytope(f"2 {top}\n1 0\n")
 
     def test_empty(self):
         with pytest.raises(ParseError):

@@ -223,6 +223,15 @@ class TestRunCheckDiamond:
         assert entry.status is CheckStatus.IDENTITY_VIOLATION
         assert entry.status.exit_code == 1
 
+    @pytest.mark.parametrize("n, rows", [(-1, []), (-2, []), (-2, [[1]])])
+    def test_negative_dimension(self, tmp_path, n, rows):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"n": n, "h": rows}))
+        entry = run_check(path)
+        assert entry.mode == "diamond"
+        assert entry.status is CheckStatus.VALIDATION_ERROR
+        assert entry.error == f"InvalidDiamond: dimension must be >= 0, got {n}"
+
 
 class TestRunBatch:
     def test_directory_scan(self):
