@@ -10,13 +10,16 @@ predicate, so purely formal test tables remain constructible.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import mul, sub
 
 from .errors import InvalidBetti, InvalidDiamond, SerreDualityWarning
 from .value import Value, set_field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=32)
@@ -151,9 +154,12 @@ def chi_p(diamond: HodgeDiamond) -> tuple[int, ...]:
 def defect(diamond: HodgeDiamond) -> Fraction:
     """sum over p, q of h[p][q] * ((q - p)/2)^2, as an exact rational.
 
-    The integer sum of h[p][q] * (q - p)^2, kept by the diamond, over the
-    scale 4, so one exact Fraction is built and its comparisons are exact.
-    Nonnegative, and zero exactly when the diamond is diagonal; this is the
-    gap between the two sides of the weighted Betti / Chern inequality.
+    The diamond keeps the integer sum of h[p][q] * (q - p)^2; this is that
+    sum over the scale 4, as one exact Fraction (`fractions` loads on the
+    first call).  Identity reports keep the integer itself.  Nonnegative,
+    and zero exactly when the diamond is diagonal; this is the gap between
+    the two sides of the weighted Betti / Chern inequality.
     """
+    from fractions import Fraction
+
     return Fraction(diamond._defect4, 4)

@@ -8,7 +8,6 @@ and optional integer Chern numbers "c1_cn1" and "c_n".
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from pathlib import Path
 
@@ -125,12 +124,21 @@ def _require_bounded(low, high, what: str) -> None:
         raise ParseError(f"{what} must be below 10**4000 in absolute value")
 
 
-def _past_digit_limit(field: str) -> bool:
-    """True if field is a decimal integer with more than 4000 significant
-    digits, so at least INT_BOUND in absolute value; int() refuses one of
-    more than 4300 digits for its length alone."""
-    digits = (field[1:] if field[0] in "+-" else field).replace("_", "")
-    return digits.isdecimal() and len(digits.lstrip("0")) > 4000
+def _long_int(field: str) -> int | None:
+    """The value of a decimal integer field, read without its leading
+    zeros, or INT_BOUND (for the bound check to name) when it has more than
+    4000 significant digits; None if field is not an integer as int()
+    reads one.  int() refuses any field of more than 4300 digits, leading
+    zeros included, for its length alone."""
+    body = field[1:] if field[0] in "+-" else field
+    digits = body.replace("_", "")
+    if not digits.isdecimal() or "__" in body or "_" in (body[0], body[-1]):
+        return None
+    digits = digits.lstrip("0")
+    if len(digits) > 4000:
+        return INT_BOUND
+    value = int(digits or "0")
+    return -value if field[0] == "-" else value
 
 
 def _bounded_ints(fields, what: str) -> tuple[int, ...]:
@@ -140,9 +148,9 @@ def _bounded_ints(fields, what: str) -> tuple[int, ...]:
     try:
         values = tuple(map(int, fields))
     except ValueError:
-        if not any(map(_past_digit_limit, fields)):
+        values = tuple(map(_long_int, fields))
+        if None in values:
             raise
-        values = (INT_BOUND,)  # for the bound check below to name
     _require_bounded(min(values), max(values), what)
     return values
 
@@ -150,6 +158,8 @@ def _bounded_ints(fields, what: str) -> tuple[int, ...]:
 def loads_diamond(text: str) -> DiamondFile:
     """Parse diamond file contents.  Shape and type problems raise
     ParseError; table-consistency problems raise the constructor's errors."""
+    import json  # imported here, so that polytope files never load it
+
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -191,6 +201,8 @@ def loads_diamond(text: str) -> DiamondFile:
 def dumps_diamond(
     diamond: HodgeDiamond, c1_cn1: int | None = None, c_n: int | None = None
 ) -> str:
+    import json
+
     obj = {"n": diamond.n, "h": [list(row) for row in diamond.h]}
     if c1_cn1 is not None:
         obj["c1_cn1"] = c1_cn1

@@ -9,23 +9,26 @@ holds, with equality exactly when all off-diagonal Hodge numbers vanish;
 the gap is the defect sum h^{p,q} ((q-p)/2)^2.  Every side is an integer
 over a fixed scale: 4 for the weighted sums and the defect, 12 for the Chern
 side, 16 and 48 for the two sides of the original normalization.  Each
-kernel sums integers and returns one exact Fraction; the verdicts compare
-the integers cross-multiplied to a common scale, so every comparison is
-exact and no floating point is involved.
+kernel sums integers; a report keeps those numerators, and the verdicts
+compare them cross-multiplied to a common scale, so every comparison is
+exact and no floating point is involved.  Only the helpers that return
+exact Fractions import `fractions`, on their first call.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
-from .diamond import HodgeDiamond, chi_p, defect
+from .diamond import HodgeDiamond, chi_p
 from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
 from .value import Value, set_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; diamond mode never loads these
+    from fractions import Fraction
+
     from .invariants import ToricInvariants
     from .lattice import FaceLattice, FanoPolytope
 
@@ -33,15 +36,18 @@ if TYPE_CHECKING:  # annotations only; diamond mode never loads these
 class IdentityReport(Value):
     """Both sides of the identity plus the individual verdicts.
 
-    rhs-dependent fields are None when the Chern numbers needed to compute
-    them were not supplied; face_count_ok is only filled in toric mode.
+    The sides are the kernels' integer numerators: lhs4 and defect4 over 4,
+    rhs12 over 12.  lhs, defect and rhs are the exact Fractions, built when
+    read.  rhs-dependent fields are None when the Chern numbers needed to
+    compute them were not supplied; face_count_ok is only filled in toric
+    mode.
     """
 
     __slots__ = _fields = (
         "n",
-        "lhs",
-        "defect",
-        "rhs",
+        "lhs4",
+        "defect4",
+        "rhs12",
         "equality",
         "inequality_ok",
         "chi_identity_ok",
@@ -52,9 +58,9 @@ class IdentityReport(Value):
     def __init__(
         self,
         n: int,
-        lhs: Fraction,
-        defect: Fraction,
-        rhs: Fraction | None = None,
+        lhs4: int,
+        defect4: int,
+        rhs12: int | None = None,
         equality: bool | None = None,
         inequality_ok: bool | None = None,
         chi_identity_ok: bool | None = None,
@@ -62,14 +68,51 @@ class IdentityReport(Value):
         face_count_ok: bool | None = None,
     ):
         set_field(self, "n", n)
-        set_field(self, "lhs", lhs)
-        set_field(self, "defect", defect)
-        set_field(self, "rhs", rhs)
+        set_field(self, "lhs4", lhs4)
+        set_field(self, "defect4", defect4)
+        set_field(self, "rhs12", rhs12)
         set_field(self, "equality", equality)
         set_field(self, "inequality_ok", inequality_ok)
         set_field(self, "chi_identity_ok", chi_identity_ok)
         set_field(self, "quarter_form_ok", quarter_form_ok)
         set_field(self, "face_count_ok", face_count_ok)
+
+    @property
+    def lhs(self) -> Fraction:
+        """sum_k h^{2k} (k - n/2)^2, exact."""
+        return _fraction(self.lhs4, 4)
+
+    @property
+    def defect(self) -> Fraction:
+        """The defect sum, exact."""
+        return _fraction(self.defect4, 4)
+
+    @property
+    def rhs(self) -> Fraction | None:
+        """(1/6) c_1 c_{n-1} + (n/12) c_n, exact; None without Chern numbers."""
+        return None if self.rhs12 is None else _fraction(self.rhs12, 12)
+
+    def sides_text(self) -> dict[str, str | None]:
+        """lhs, defect and rhs as a report writes them: "p/q" in lowest
+        terms, or "p" when q is 1, as str() of the Fraction reads."""
+        return {
+            "lhs": _ratio_text(self.lhs4, 4),
+            "defect": _ratio_text(self.defect4, 4),
+            "rhs": None if self.rhs12 is None else _ratio_text(self.rhs12, 12),
+        }
+
+
+def _fraction(num: int, scale: int) -> Fraction:
+    """num / scale as an exact Fraction; `fractions` loads on the first call."""
+    from fractions import Fraction
+
+    return Fraction(num, scale)
+
+
+def _ratio_text(num: int, scale: int) -> str:
+    """str(Fraction(num, scale)) for a positive scale, without building it."""
+    g = gcd(num, scale)
+    return str(num // g) if g == scale else f"{num // g}/{scale // g}"
 
 
 @lru_cache(maxsize=32)
@@ -104,17 +147,17 @@ def _quarter_sides(betti, c1_cn1: int, n: int) -> tuple[int, int]:
 
 def weighted_betti_sum(betti, n: int) -> Fraction:
     """sum_k betti[k] * (k - n/2)^2, exact."""
-    return Fraction(_weighted_sum4(betti, n), 4)
+    return _fraction(_weighted_sum4(betti, n), 4)
 
 
 def chern_side(c1_cn1: int, c_n: int, n: int) -> Fraction:
     """(1/6) c_1 c_{n-1} + (n/12) c_n, exact."""
-    return Fraction(_chern_side12(c1_cn1, c_n, n), 12)
+    return _fraction(_chern_side12(c1_cn1, c_n, n), 12)
 
 
 def chi_weighted_sum(chi, n: int) -> Fraction:
     """sum_p chi[p] * (p - n/2)^2, exact."""
-    return Fraction(_weighted_sum4(chi, n), 4)
+    return _fraction(_weighted_sum4(chi, n), 4)
 
 
 def verify_chi_identity(chi, c1_cn1: int, c_n: int, n: int) -> bool:
@@ -127,7 +170,7 @@ def verify_chi_identity(chi, c1_cn1: int, c_n: int, n: int) -> bool:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(chi)}")
     if tuple(chi) != tuple(chi)[::-1]:
         raise NotPalindromic(f"chi list {tuple(chi)} is not palindromic")
-    return chi_weighted_sum(chi, n) == chern_side(c1_cn1, c_n, n)
+    return 3 * _weighted_sum4(chi, n) == _chern_side12(c1_cn1, c_n, n)
 
 
 def quarter_weighted_form(betti, c1_cn1: int, n: int) -> tuple[Fraction, Fraction]:
@@ -139,7 +182,7 @@ def quarter_weighted_form(betti, c1_cn1: int, n: int) -> tuple[Fraction, Fractio
     (k - n/2)^2 form does.
     """
     lhs16, rhs48 = _quarter_sides(betti, c1_cn1, n)
-    return Fraction(lhs16, 16), Fraction(rhs48, 48)
+    return _fraction(lhs16, 16), _fraction(rhs48, 48)
 
 
 def check_betti_chern(
@@ -154,6 +197,16 @@ def check_betti_chern(
     Each verdict compares the integer numerators over a common scale.
     """
     return _betti_chern_report(diamond, c1_cn1, c_n)
+
+
+def partial_report(diamond: HodgeDiamond) -> IdentityReport:
+    """The report of a diamond whose Chern numbers are not known: lhs and
+    the defect, with every rhs-dependent field None."""
+    return IdentityReport(
+        n=diamond.n,
+        lhs4=_weighted_sum4(diamond.even_betti(), diamond.n),
+        defect4=diamond._defect4,
+    )
 
 
 def _betti_chern_report(
@@ -171,9 +224,9 @@ def _betti_chern_report(
     quarter16, quarter48 = _quarter_sides(betti, c1_cn1, n)
     return IdentityReport(
         n=n,
-        lhs=Fraction(lhs4, 4),
-        defect=defect(diamond),
-        rhs=Fraction(rhs12, 12),
+        lhs4=lhs4,
+        defect4=diamond._defect4,
+        rhs12=rhs12,
         equality=3 * lhs4 == rhs12,
         inequality_ok=3 * lhs4 <= rhs12,
         chi_identity_ok=3 * _weighted_sum4(chi_p(diamond), n) == rhs12,

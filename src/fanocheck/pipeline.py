@@ -15,8 +15,11 @@ import os
 from collections.abc import Iterator
 from functools import lru_cache
 from importlib import import_module
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+# The C function json.encoder uses, taken from the accelerator itself so
+# that writing a report does not load the json package.
+from _json import encode_basestring_ascii
 
 from .errors import (
     DegenerateInput,
@@ -31,9 +34,8 @@ from .value import Value, set_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
-    from fractions import Fraction
-
     from .files import DiamondFile
+    from .identity import IdentityReport
     from .invariants import ToricInvariants
     from .lattice import FanoPolytope
 
@@ -60,20 +62,23 @@ def _on_first_call(module: str, name: str):
 
 
 chi_p = _on_first_call("diamond", "chi_p")
-defect = _on_first_call("diamond", "defect")
 decode_text = _on_first_call("files", "decode_text")
 loads_diamond = _on_first_call("files", "loads_diamond")
 loads_polytope = _on_first_call("files", "loads_polytope")
-IdentityReport = _on_first_call("identity", "IdentityReport")
 check_betti_chern = _on_first_call("identity", "check_betti_chern")
+partial_report = _on_first_call("identity", "partial_report")
 toric_identity_report = _on_first_call("identity", "toric_identity_report")
-weighted_betti_sum = _on_first_call("identity", "weighted_betti_sum")
 toric_invariants = _on_first_call("invariants", "toric_invariants")
 polar_dual = _on_first_call("lattice", "polar_dual")
 reflexive_dual = _on_first_call("lattice", "reflexive_dual")
 
-# Not called here any more.  bench/tracer.py rebinds these four names (and
+# Not called here any more.  bench/tracer.py rebinds these names (and
 # lattice.combinations), and its traced run stops when one is missing.
+# defect and weighted_betti_sum return Fractions, which a report no longer
+# builds; the tracer's diamond and identity layers name them (it rebinds
+# defect here and wraps identity.weighted_betti_sum).
+defect = _on_first_call("diamond", "defect")
+weighted_betti_sum = _on_first_call("identity", "weighted_betti_sum")
 compute_invariants = _on_first_call("invariants", "compute_invariants")
 second_derivative_at_one = _on_first_call("invariants", "second_derivative_at_one")
 face_lattice = _on_first_call("lattice", "face_lattice")
@@ -198,10 +203,6 @@ def dumps_json(value, _pad: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} has no place in a report")
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 # The verdict fields of an IdentityReport, in the order text reports list them.
 _VERDICTS = (
     "equality",
@@ -213,11 +214,7 @@ _VERDICTS = (
 
 
 def _report_dict(report: IdentityReport) -> dict:
-    out = {
-        "lhs": _frac_str(report.lhs),
-        "defect": _frac_str(report.defect),
-        "rhs": None if report.rhs is None else _frac_str(report.rhs),
-    }
+    out = report.sides_text()
     for key in _VERDICTS:
         out[key] = getattr(report, key)
     return out
@@ -336,7 +333,7 @@ def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
     rep = analysis.report
     passed = (
         bool(rep.equality)
-        and rep.defect == 0
+        and rep.defect4 == 0
         and rep.inequality_ok
         and rep.chi_identity_ok
         and rep.quarter_form_ok
@@ -363,13 +360,7 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
             payload=payload,
         )
     if data.c1_cn1 is None or data.c_n is None:
-        payload["identity"] = _report_dict(
-            IdentityReport(
-                n=diamond.n,
-                lhs=weighted_betti_sum(betti, diamond.n),
-                defect=defect(diamond),
-            )
-        )
+        payload["identity"] = _report_dict(partial_report(diamond))
         payload["note"] = "Chern numbers missing; rhs verifications skipped"
         return EntryReport(name, "diamond", CheckStatus.OK, payload=payload)
 
@@ -525,6 +516,52 @@ def _expand_paths(paths) -> list[str]:
     return out
 
 
+def _map_threads(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items], on `workers` threads.
+
+    Each thread takes the next index from a counter guarded by a lock, so
+    inputs start in order.  After an exception no thread takes another
+    input; once every thread has ended, the exception of the first failed
+    input is raised here.
+    """
+    import threading  # imported here: a sequential run never needs it
+
+    results = [None] * len(items)
+    failures = []
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                i = taken
+                if i == len(items):
+                    return
+                taken += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    failures.append((i, exc))
+                    taken = len(items)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        # On an interrupt here, the threads end after their current input.
+        with lock:
+            taken = len(items)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
 def run_batch(paths, jobs: int = 1) -> RunReport:
     """Check many inputs, optionally concurrently.
 
@@ -543,11 +580,7 @@ def run_batch(paths, jobs: int = 1) -> RunReport:
     files = _expand_paths(paths)
     workers = min(jobs, len(files), os.cpu_count() or 1)
     if workers > 1:
-        # imported here: it loads logging, which a sequential run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run_check, files))
+        entries = _map_threads(run_check, files, workers)
     else:
         entries = [run_check(f) for f in files]
     entries.sort(key=lambda e: e.name)

@@ -308,9 +308,10 @@ def _child(code: str, *args) -> str:
     return child.stdout
 
 
-def _loaded_after(args) -> set[str]:
-    """The modules a fresh interpreter has loaded after `fanocheck ARGS`."""
-    code = (
+def _loaded_after(args, prelude: str = "") -> set[str]:
+    """The modules a fresh interpreter has loaded after running prelude,
+    then `fanocheck ARGS`."""
+    code = prelude + (
         "import sys, io\n"
         "from fanocheck.cli import main\n"
         "out, sys.stdout = sys.stdout, io.StringIO()\n"
@@ -334,7 +335,17 @@ class TestStartup:
         assert _child(code) == "\n"
 
     def test_empty_batch_loads_no_check_module(self, tmp_path):
-        assert not _loaded_after(["batch", tmp_path]) & (_CHECK_MODULES | {"fractions"})
+        loaded = _loaded_after(["batch", tmp_path])
+        assert not loaded & (_CHECK_MODULES | {"fractions", "json"})
+
+    def test_threaded_polytope_batch_loads_only_what_it_runs(self, tmp_path):
+        for name in ("p2.poly", "p3.poly", "p1xp2.poly", "not_reflexive.poly"):
+            shutil.copy(FIXTURES / name, tmp_path)
+        # two CPUs, so that two worker threads run whatever the host has
+        prelude = "import os\nos.cpu_count = lambda: 2\n"
+        loaded = _loaded_after(["batch", tmp_path, "--jobs", "2", "--format", "json"], prelude)
+        assert _CHECK_MODULES <= loaded
+        assert not loaded & {"concurrent.futures", "logging", "fractions", "decimal", "json"}
 
     def test_diamond_batch_loads_no_toric_module(self, tmp_path):
         for name in ("k3.json", "asym.json", "k3_no_chern.json"):
@@ -345,6 +356,8 @@ class TestStartup:
             "fanocheck.files",
             "fanocheck.identity",
         }
+        # the reports, with and without Chern numbers, build no Fraction
+        assert not loaded & {"fractions", "decimal"}
 
     def test_polytope_check_loads_every_check_module(self):
         assert _CHECK_MODULES <= _loaded_after(["check", FIXTURES / "p2.poly"])

@@ -104,6 +104,40 @@ class TestPolytopeFiles:
         with pytest.raises(ParseError, match=r"^expected 9{4000} vertex lines, found 1$"):
             loads_polytope(f"2 {top}\n1 0\n")
 
+    # Each field is longer than the 4300 digits int() reads, but for its
+    # leading zeros.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("-" + "0" * 5000 + "1", -1),
+            ("+" + "0" * 5000 + "1", 1),
+            ("0_" * 4400 + "1", 1),
+            ("-" + "0" * 5000 + "9" * 4000, 1 - 10**4000),
+        ],
+        ids=["minus-one", "plus-one", "underscores", "4000-digits"],
+    )
+    def test_leading_zeros_past_the_digit_limit(self, field, value):
+        P = loads_polytope(f"2 3\n1 0\n0 1\n{field} -1\n")
+        assert P.vertices[2] == (value, -1)
+        header = loads_polytope(f"2 {'0' * 5000}3\n1 0\n0 1\n-1 -1\n")
+        assert header.vertices == ((1, 0), (0, 1), (-1, -1))
+
+    def test_leading_zeros_then_too_many_digits(self):
+        field = "-" + "0" * 5000 + "1" + "0" * 4000  # -10**4000
+        with pytest.raises(
+            ParseError, match=r"^line 4: coordinate must be below 10\*\*4000 in absolute value$"
+        ):
+            loads_polytope(f"2 3\n1 0\n0 1\n{field} -1\n")
+
+    @pytest.mark.parametrize(
+        "field",
+        ["_" + "0" * 5000 + "1", "0" * 5000 + "1_", "0__" + "0" * 5000, "-", "0" * 5000 + "x"],
+        ids=["leading-underscore", "trailing-underscore", "double-underscore", "sign", "letter"],
+    )
+    def test_long_non_integer(self, field):
+        with pytest.raises(ParseError, match=r"^line 4: non-integer coordinate$"):
+            loads_polytope(f"2 3\n1 0\n0 1\n{field} -1\n")
+
     def test_empty(self):
         with pytest.raises(ParseError):
             loads_polytope("# nothing here\n")

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fanocheck import (
     HodgeDiamond,
+    IdentityReport,
     check_betti_chern,
     chern_side,
     chi_p,
@@ -29,6 +30,7 @@ from fanocheck import (
     weighted_betti_sum,
 )
 from fanocheck.errors import HypothesisViolated, LengthMismatch, NotPalindromic
+from fanocheck.pipeline import _report_dict
 
 from conftest import random_symmetric_diamond
 
@@ -400,3 +402,40 @@ class TestKernelsMatchFractionReference:
         assert got.inequality_ok == (lhs <= rhs)
         assert got.chi_identity_ok == (ref_weighted_betti_sum(chi_p(diamond), n) == rhs)
         assert got.quarter_form_ok == (quarter_lhs == quarter_rhs)
+
+
+def _old_frac_str(x: Fraction) -> str:
+    """How a report wrote a side when IdentityReport held Fractions."""
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+# Numerators as the kernels make them: small, any size, and 4000 digits
+# (the bound on a file's integers).
+_numerators = st.one_of(
+    st.integers(-100, 100),
+    st.integers(),
+    st.builds(
+        lambda sign, x: sign * x,
+        st.sampled_from([1, -1]),
+        st.integers(10**3999, 10**4000 - 1),
+    ),
+)
+
+
+class TestIdentityReportNumerators:
+    @given(st.integers(0, 12), _numerators, _numerators, st.none() | _numerators)
+    @example(2, 8, 0, 24)
+    @example(1, -6, 2, None)
+    @example(4, 10**4000 - 1, -(10**4000 - 1), 12 * (10**4000 - 1))
+    def test_text_and_fractions_match_the_numerators(self, n, lhs4, defect4, rhs12):
+        report = IdentityReport(n=n, lhs4=lhs4, defect4=defect4, rhs12=rhs12)
+        sides = {"lhs": (lhs4, 4), "defect": (defect4, 4), "rhs": (rhs12, 12)}
+        written = _report_dict(report)
+        for name, (num, scale) in sides.items():
+            got = getattr(report, name)
+            if num is None:
+                assert got is None and written[name] is None
+                continue
+            assert type(got) is Fraction
+            assert got == Fraction(num, scale)
+            assert written[name] == _old_frac_str(Fraction(num, scale))

@@ -1,9 +1,10 @@
 """run_check / run_batch behaviour, statuses, report shapes."""
 
-import concurrent.futures
 import gc
 import json
 import shutil
+import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -395,6 +396,19 @@ class TestInputFiles:
 class TestJobsClamp:
     """run_batch starts at most min(jobs, inputs, CPU count) threads."""
 
+    @staticmethod
+    def _record_starts(monkeypatch) -> list:
+        """The threads started from here on, in start order."""
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        return started
+
     @pytest.mark.parametrize(
         "cores, paths, jobs, pools",
         [
@@ -406,17 +420,58 @@ class TestJobsClamp:
     )
     def test_workers(self, monkeypatch, cores, paths, jobs, pools):
         reference = run_batch(paths).to_json()
-        sizes = []
-        real = concurrent.futures.ThreadPoolExecutor
-
-        def recording(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers)
-
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        started = self._record_starts(monkeypatch)
         assert run_batch(paths, jobs=jobs).to_json() == reference
-        assert sizes == pools
+        # pools: the number of worker threads the batch started, if any
+        assert ([len(started)] if started else []) == pools
+        assert not any(t.is_alive() for t in started)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        class Fault(Exception):
+            pass
+
+        def run_check(path):
+            if path.endswith(".json"):
+                raise Fault(path)
+            return real(path)
+
+        real = pipeline.run_check
+        monkeypatch.setattr(pipeline, "run_check", run_check)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 2)
+        started = self._record_starts(monkeypatch)
+        names = ("p2.poly", "k3.json", "p3.poly", "asym.json", "cube3.poly")
+        with pytest.raises(Fault) as info:
+            run_batch([FIXTURES / name for name in names], jobs=2)
+        # the first failed input's exception, raised after every thread ended
+        assert info.value.args == (str(FIXTURES / "k3.json"),)
+        assert len(started) == 2
+        assert not any(t.is_alive() for t in started)
+
+    def test_each_input_runs_once_under_fast_switching(self):
+        # More threads than cores, switching every microsecond: a lost
+        # update of the shared index would run an input twice or never.
+        items = list(range(3000))
+        calls = [0] * len(items)
+        results = []
+
+        def fn(i):
+            calls[i] += 1
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: results.append(pipeline._map_threads(fn, items, 8))
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert results == [[-i for i in items]]
+        assert calls == [1] * len(items)
 
 
 class TestBatchOrder:

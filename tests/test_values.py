@@ -5,7 +5,6 @@ import copy
 import inspect
 import pickle
 import weakref
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -54,7 +53,7 @@ SAMPLES = {
     "ToricInvariants": lambda: ToricInvariants(
         n=2, betti=(1, 1, 1), c_n=3, c1_cn1=9, f_vector=(3, 3, 1), edge_interior_total=6
     ),
-    "IdentityReport": lambda: IdentityReport(n=2, lhs=Fraction(2), defect=Fraction(0)),
+    "IdentityReport": lambda: IdentityReport(n=2, lhs4=8, defect4=0),
     "HodgeDiamond": lambda: HodgeDiamond(2, ((1, 0, 1), (0, 20, 0), (1, 0, 1))),
     "DiamondFile": lambda: DiamondFile(HodgeDiamond.from_betti((1, 1, 1)), 9, 3),
     "PinnedValues": lambda: PinnedValues(betti=(1, 1, 1), c_n=3),
@@ -111,8 +110,8 @@ def test_equal_fields_give_equal_objects(name):
 def test_a_field_difference_breaks_equality():
     assert Halfspace((1, 0), 1) != Halfspace((1, 0), 2)
     assert FanoPolytope(1, ((1,), (-1,))) != FanoPolytope(1, ((-1,), (1,)))
-    assert IdentityReport(n=2, lhs=Fraction(2), defect=Fraction(0)) != IdentityReport(
-        n=2, lhs=Fraction(2), defect=Fraction(0), face_count_ok=True
+    assert IdentityReport(n=2, lhs4=8, defect4=0) != IdentityReport(
+        n=2, lhs4=8, defect4=0, face_count_ok=True
     )
 
 
