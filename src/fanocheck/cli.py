@@ -81,7 +81,7 @@ def _check(args) -> int:
 
 
 def _batch(args) -> int:
-    return _report(run_batch(args.paths, jobs=args.jobs), args.format)
+    return _report(run_batch(args.paths), args.format)
 
 
 def _diamond(args) -> int:
@@ -163,7 +163,12 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     batch.add_argument("paths", nargs="+", metavar="PATH")
     batch.add_argument("--format", choices=("text", "json"), default="text")
     batch.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N", help="(default: %(default)s)"
+        "-j",
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="No effect: inputs are checked one after another (kept for old scripts).",
     )
 
     diamond = _command(

@@ -3,7 +3,8 @@
 A polytope input runs validate (hull, reflexive, smooth) -> dual ->
 invariants from the fan and the dual's vertices, checked against each
 other -> identity verifications; a diamond input runs the diamond-mode
-verifications.  Any exception that is not about the input is reported as
+verifications.  A batch checks its inputs one after another on the
+calling thread.  Any exception that is not about the input is reported as
 an internal error, so a batch always runs to its end.  Reports serialize
 rationals as "p/q" strings so nothing is rounded.
 """
@@ -497,91 +498,33 @@ class RunReport(Value):
         return "".join(self.iter_text())
 
 
-def _expand_paths(paths) -> list[str]:
-    """Each path as str(Path(p)), with a directory replaced by its *.poly
-    and *.json entries, named str(Path(p) / name)."""
-    out: list[str] = []
+def run_batch(paths) -> RunReport:
+    """Check many inputs, one after another on the calling thread.
+
+    A directory stands for its *.poly and *.json entries, named
+    str(Path(p) / name); a directory that cannot be listed is one parse
+    error entry named by the path, so a batch always runs to its end.
+    Entries are sorted by name.
+    """
+    entries: list[EntryReport] = []
     for p in paths:
         p = str(Path(p))
-        if os.path.isdir(p):
-            prefix = "" if p == "." else os.path.join(p, "")
+        if not os.path.isdir(p):
+            entries.append(run_check(p))
+            continue
+        prefix = "" if p == "." else os.path.join(p, "")
+        try:
             # pathlib's suffix rule: ".json" alone is a name with no suffix
-            out.extend(
+            files = [
                 prefix + name
                 for name in os.listdir(p)
                 if name.endswith((".poly", ".json")) and len(name) > 5
+            ]
+        except OSError as exc:
+            entries.append(
+                EntryReport(p, "toric", CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}")
             )
-        else:
-            out.append(p)
-    return out
-
-
-def _map_threads(fn, items: list, workers: int) -> list:
-    """[fn(x) for x in items], on `workers` threads.
-
-    Each thread takes the next index from a counter guarded by a lock, so
-    inputs start in order.  After an exception no thread takes another
-    input; once every thread has ended, the exception of the first failed
-    input is raised here.
-    """
-    import threading  # imported here: a sequential run never needs it
-
-    results = [None] * len(items)
-    failures = []
-    lock = threading.Lock()
-    taken = 0
-
-    def work():
-        nonlocal taken
-        while True:
-            with lock:
-                i = taken
-                if i == len(items):
-                    return
-                taken += 1
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                with lock:
-                    failures.append((i, exc))
-                    taken = len(items)
-                return
-
-    threads = [threading.Thread(target=work) for _ in range(workers)]
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        # On an interrupt here, the threads end after their current input.
-        with lock:
-            taken = len(items)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return results
-
-
-def run_batch(paths, jobs: int = 1) -> RunReport:
-    """Check many inputs, optionally concurrently.
-
-    At most min(jobs, number of inputs, CPU count) worker threads run, so
-    a large --jobs does not start a thread per file.  All shared state is
-    immutable (each polytope carries its own hull, and the analysis cache
-    holds only finished results), so thread workers are safe; entries are
-    sorted by input name, making the report independent of execution order.
-    """
-    if jobs > 1:
-        # The check modules are imported here, in the main thread and before
-        # the paths are listed: imported inside a worker thread, they leave
-        # the process about 1 MB larger.
-        for module in ("diamond", "files", "identity", "invariants", "lattice"):
-            import_module(f"{__package__}.{module}")
-    files = _expand_paths(paths)
-    workers = min(jobs, len(files), os.cpu_count() or 1)
-    if workers > 1:
-        entries = _map_threads(run_check, files, workers)
-    else:
-        entries = [run_check(f) for f in files]
+            continue
+        entries.extend(map(run_check, files))
     entries.sort(key=lambda e: e.name)
     return RunReport(tuple(entries))

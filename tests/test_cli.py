@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -91,10 +92,23 @@ class TestBatch:
         assert result.exit_code == 2
         assert "checked 12 inputs" in result.output
 
-    def test_json_and_jobs(self):
-        res1 = run_cli(["batch", str(FIXTURES), "--format", "json"])
-        res4 = run_cli(["batch", str(FIXTURES), "--format", "json", "--jobs", "4"])
-        assert json.loads(res1.output) == json.loads(res4.output)
+    def test_json_and_jobs(self, monkeypatch):
+        # --jobs has no effect: the same bytes and exit code, and no thread
+        # starts, whatever the count and however many CPUs there are.
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        plain = run_cli(["batch", FIXTURES, "--format", "json"])
+        assert plain.exit_code == 2
+        for jobs in ("1", "2", "10000"):
+            assert run_cli(["batch", FIXTURES, "--format", "json", "--jobs", jobs]) == plain
+        assert started == []
 
     def test_json_is_json_dumps_of_the_report(self):
         result = run_cli(["batch", "--format", "json", str(FIXTURES)])
@@ -308,10 +322,9 @@ def _child(code: str, *args) -> str:
     return child.stdout
 
 
-def _loaded_after(args, prelude: str = "") -> set[str]:
-    """The modules a fresh interpreter has loaded after running prelude,
-    then `fanocheck ARGS`."""
-    code = prelude + (
+def _loaded_after(args) -> set[str]:
+    """The modules a fresh interpreter has loaded after `fanocheck ARGS`."""
+    code = (
         "import sys, io\n"
         "from fanocheck.cli import main\n"
         "out, sys.stdout = sys.stdout, io.StringIO()\n"
@@ -341,23 +354,23 @@ class TestStartup:
     def test_threaded_polytope_batch_loads_only_what_it_runs(self, tmp_path):
         for name in ("p2.poly", "p3.poly", "p1xp2.poly", "not_reflexive.poly"):
             shutil.copy(FIXTURES / name, tmp_path)
-        # two CPUs, so that two worker threads run whatever the host has
-        prelude = "import os\nos.cpu_count = lambda: 2\n"
-        loaded = _loaded_after(["batch", tmp_path, "--jobs", "2", "--format", "json"], prelude)
+        # --jobs is accepted and runs the one sequential path
+        loaded = _loaded_after(["batch", tmp_path, "--jobs", "2", "--format", "json"])
         assert _CHECK_MODULES <= loaded
         assert not loaded & {"concurrent.futures", "logging", "fractions", "decimal", "json"}
 
     def test_diamond_batch_loads_no_toric_module(self, tmp_path):
         for name in ("k3.json", "asym.json", "k3_no_chern.json"):
             shutil.copy(FIXTURES / name, tmp_path)
-        loaded = _loaded_after(["batch", tmp_path, "--format", "json"])
-        assert loaded & _CHECK_MODULES == {
-            "fanocheck.diamond",
-            "fanocheck.files",
-            "fanocheck.identity",
-        }
-        # the reports, with and without Chern numbers, build no Fraction
-        assert not loaded & {"fractions", "decimal"}
+        for jobs in ([], ["--jobs", "2"]):
+            loaded = _loaded_after(["batch", tmp_path, "--format", "json", *jobs])
+            assert loaded & _CHECK_MODULES == {
+                "fanocheck.diamond",
+                "fanocheck.files",
+                "fanocheck.identity",
+            }
+            # the reports, with and without Chern numbers, build no Fraction
+            assert not loaded & {"fractions", "decimal"}
 
     def test_polytope_check_loads_every_check_module(self):
         assert _CHECK_MODULES <= _loaded_after(["check", FIXTURES / "p2.poly"])
@@ -394,14 +407,6 @@ print(json.dumps([calls, [getattr(pipeline, n) is w for n, w in wrappers.items()
         # diamond files, and 4 of them hold a valid table
         assert calls == {"polar_dual": 6, "loads_diamond": 5, "chi_p": 4}
         assert kept == [True, True, True]
-
-    def test_threads_report_what_one_worker_does(self):
-        code = (
-            "from fanocheck.pipeline import run_batch; "
-            f"print(run_batch([{str(FIXTURES)!r}], jobs=2).to_json() == "
-            f"run_batch([{str(FIXTURES)!r}], jobs=1).to_json())"
-        )
-        assert _child(code) == "True\n"
 
     def test_first_calls_race_in_threads(self):
         # Eight threads make the first calls of every stand-in at once,

@@ -1,9 +1,9 @@
 """run_check / run_batch behaviour, statuses, report shapes."""
 
+import errno
 import gc
 import json
 import shutil
-import sys
 import threading
 import weakref
 from pathlib import Path
@@ -320,9 +320,20 @@ class TestRunBatch:
         assert report.exit_status == 1
 
     def test_concurrent_equals_sequential(self):
-        sequential = run_batch([FIXTURES], jobs=1)
-        concurrent = run_batch([FIXTURES], jobs=4)
-        assert sequential.to_dict() == concurrent.to_dict()
+        # Batches a caller runs on its own threads share the analysis cache.
+        sequential = run_batch([FIXTURES]).to_dict()
+        clear_caches()
+        reports = []
+        threads = [
+            threading.Thread(target=lambda: reports.append(run_batch([FIXTURES]).to_dict()))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert reports == [sequential, sequential]
 
     def test_aggregate_counts_sum(self):
         report = run_batch([FIXTURES])
@@ -366,6 +377,34 @@ class TestInputFiles:
             CheckStatus.OK, CheckStatus.PARSE_ERROR, CheckStatus.PARSE_ERROR,
         ]
 
+    def test_unlistable_directory_is_one_parse_error(self, tmp_path, monkeypatch):
+        # Patched, because a directory's mode does not stop the root user.
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        shutil.copy(FIXTURES / "k3.json", tmp_path)
+        listdir = pipeline.os.listdir
+
+        def refuse(path):
+            if str(path) == str(locked):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return listdir(path)
+
+        monkeypatch.setattr(pipeline.os, "listdir", refuse)
+        report = run_batch([FIXTURES / "p2.poly", locked, tmp_path])
+        assert [(e.name, e.mode, e.status, e.error) for e in report.entries] == sorted([
+            (str(FIXTURES / "p2.poly"), "toric", CheckStatus.OK, None),
+            (str(tmp_path / "k3.json"), "diamond", CheckStatus.OK, None),
+            (
+                str(locked),
+                "toric",
+                CheckStatus.PARSE_ERROR,
+                f"ParseError: [Errno 13] Permission denied: '{locked}'",
+            ),
+        ])
+        result = run_cli(["batch", locked, "--format", "json"])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["aggregate"]["errors"] == 1
+
     def _directory(self, root):
         for name in ("a.json", "..json", ".json", "c.JSON"):
             (root / name).write_bytes((FIXTURES / "k3.json").read_bytes())
@@ -391,87 +430,6 @@ class TestInputFiles:
         assert names == ["..json", "a.json", "b.poly", "sub.json"]
         assert [e.name for e in run_batch(["./"]).entries] == names
         assert [e.name for e in run_batch(["./a.json"]).entries] == ["a.json"]
-
-
-class TestJobsClamp:
-    """run_batch starts at most min(jobs, inputs, CPU count) threads."""
-
-    @staticmethod
-    def _record_starts(monkeypatch) -> list:
-        """The threads started from here on, in start order."""
-        started = []
-
-        class Recording(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Recording)
-        return started
-
-    @pytest.mark.parametrize(
-        "cores, paths, jobs, pools",
-        [
-            (2, [FIXTURES], 10_000, [2]),
-            (8, [FIXTURES / "p2.poly", FIXTURES / "k3.json"], 4, [2]),
-            (None, [FIXTURES], 4, []),
-            (8, [FIXTURES / "p2.poly"], 4, []),
-        ],
-    )
-    def test_workers(self, monkeypatch, cores, paths, jobs, pools):
-        reference = run_batch(paths).to_json()
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cores)
-        started = self._record_starts(monkeypatch)
-        assert run_batch(paths, jobs=jobs).to_json() == reference
-        # pools: the number of worker threads the batch started, if any
-        assert ([len(started)] if started else []) == pools
-        assert not any(t.is_alive() for t in started)
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        class Fault(Exception):
-            pass
-
-        def run_check(path):
-            if path.endswith(".json"):
-                raise Fault(path)
-            return real(path)
-
-        real = pipeline.run_check
-        monkeypatch.setattr(pipeline, "run_check", run_check)
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 2)
-        started = self._record_starts(monkeypatch)
-        names = ("p2.poly", "k3.json", "p3.poly", "asym.json", "cube3.poly")
-        with pytest.raises(Fault) as info:
-            run_batch([FIXTURES / name for name in names], jobs=2)
-        # the first failed input's exception, raised after every thread ended
-        assert info.value.args == (str(FIXTURES / "k3.json"),)
-        assert len(started) == 2
-        assert not any(t.is_alive() for t in started)
-
-    def test_each_input_runs_once_under_fast_switching(self):
-        # More threads than cores, switching every microsecond: a lost
-        # update of the shared index would run an input twice or never.
-        items = list(range(3000))
-        calls = [0] * len(items)
-        results = []
-
-        def fn(i):
-            calls[i] += 1
-            return -i
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(
-                target=lambda: results.append(pipeline._map_threads(fn, items, 8))
-            )
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive()
-        assert results == [[-i for i in items]]
-        assert calls == [1] * len(items)
 
 
 class TestBatchOrder:
@@ -508,8 +466,10 @@ class TestBatchOrder:
     def test_jobs_and_sorted_reference_agree(self, tmp_path):
         args, files = self._inputs(tmp_path)
         reference = RunReport(tuple(run_check(f) for f in sorted(str(f) for f in files)))
-        for jobs in (1, 2):
-            assert run_batch(args, jobs=jobs).to_json() == reference.to_json()
+        assert run_batch(args).to_json() == reference.to_json()
+        # --jobs is accepted and changes nothing
+        result = run_cli(["batch", "--jobs", "2", "--format", "json", *args])
+        assert result.output == reference.to_json() + "\n"
 
 
 report_text = st.text(
