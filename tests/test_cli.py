@@ -408,6 +408,24 @@ print(json.dumps([calls, [getattr(pipeline, n) is w for n, w in wrappers.items()
         assert calls == {"polar_dual": 6, "loads_diamond": 5, "chi_p": 4}
         assert kept == [True, True, True]
 
+    def test_threads_report_what_one_worker_does(self):
+        # A fresh interpreter's first batch, given --jobs 2, writes the
+        # report that the plain sequential run_batch builds.
+        code = f"""
+import io, sys, threading
+from fanocheck.cli import main
+from fanocheck.pipeline import run_batch
+
+out, sys.stdout = sys.stdout, io.StringIO()
+try:
+    main(["batch", {str(FIXTURES)!r}, "--format", "json", "--jobs", "2"])
+except SystemExit:
+    pass
+written, sys.stdout = sys.stdout.getvalue(), out
+print(written == run_batch([{str(FIXTURES)!r}]).to_json() + "\\n", threading.active_count())
+"""
+        assert _child(code) == "True 1\n"
+
     def test_first_calls_race_in_threads(self):
         # Eight threads make the first calls of every stand-in at once,
         # switching every microsecond, with no module imported beforehand.
