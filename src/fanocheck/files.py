@@ -8,6 +8,7 @@ and optional integer Chern numbers "c1_cn1" and "c_n".
 
 from __future__ import annotations
 
+from codecs import BOM_UTF8
 from itertools import chain
 from pathlib import Path
 
@@ -21,10 +22,11 @@ if TYPE_CHECKING:  # annotations only; diamond files never load lattice
 
 
 def decode_text(data: bytes) -> str:
-    """File bytes as text: strict UTF-8, with universal newlines as
+    """File bytes as text: strict UTF-8 without one leading byte order
+    mark (as the utf-8-sig codec reads it), with universal newlines as
     text-mode reading gives them.  Raises ParseError if not UTF-8."""
     try:
-        text = data.decode("utf-8")
+        text = data.removeprefix(BOM_UTF8).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -172,11 +172,14 @@ def _fan_side(P: FanoPolytope, walls) -> tuple[tuple[int, ...], list[int]]:
     x = v_i B_b^-1 writes v_i in b's basis, so x_j = -1 and x_k = -a_k in
     the wall relation v_i + v_j + sum_k a_k v_k = 0, and
     c_1 . C = 2 + sum_k a_k = 2 - sum_{k != j} x_k (Fulton, section 5.1).
+    Only two numbers of x are needed: sum_k x_k = <v_i, s_b>, where s_b
+    holds the row sums of B_b^-1, and x_j = <v_i, c_j> for j's column c_j.
     """
     n = P.dim
     verts = P.vertices
     cones = facet_cones(P)
     columns = [list(zip(*c.inverse)) for c in cones]
+    row_sums = [list(map(sum, c.inverse)) for c in cones]
     M = 1 + max(abs(a) for c in cones for row in c.inverse for a in row)
     w = [M**k for k in range(n)]
     betti = [0] * (n + 1)
@@ -185,8 +188,9 @@ def _fan_side(P: FanoPolytope, walls) -> tuple[tuple[int, ...], list[int]]:
 
     degrees = []
     for _, i, b, j in walls:
-        x = [_dot(verts[i], col) for col in columns[b]]
-        degrees.append(2 - sum(x) + x[cones[b].indices.index(j)])
+        v = verts[i]
+        col = columns[b][cones[b].indices.index(j)]
+        degrees.append(2 - _dot(v, row_sums[b]) + _dot(v, col))
     return tuple(betti), degrees
 
 

@@ -4,15 +4,17 @@ A polytope input runs validate (hull, reflexive, smooth) -> dual ->
 invariants from the fan and the dual's vertices, checked against each
 other -> identity verifications; a diamond input runs the diamond-mode
 verifications.  A batch checks its inputs one after another on the
-calling thread.  Any exception that is not about the input is reported as
-an internal error, so a batch always runs to its end.  Reports serialize
-rationals as "p/q" strings so nothing is rounded.
+calling thread, each distinct file content once.  Any exception that is
+not about the input is reported as an internal error, so a batch always
+runs to its end.  Reports serialize rationals as "p/q" strings so nothing
+is rounded.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+from codecs import BOM_UTF8
 from collections.abc import Iterator
 from functools import lru_cache
 from importlib import import_module
@@ -124,8 +126,11 @@ class ToricAnalysis(Value):
         set_field(self, "consistency", consistency)
 
 
-# Repeats in a batch are rarely 64 distinct inputs apart; a long batch of
-# distinct inputs evicts the oldest analyses instead of growing.
+# A batch checks each distinct file content once, so a repeat reaches this
+# cache only as the same vertices written in different bytes (another order
+# of the lines, a comment, other spacing), or from a library caller that
+# analyzes one polytope again.  A long run of distinct inputs evicts the
+# oldest analyses instead of growing.
 @lru_cache(maxsize=64)
 def analyze(P: FanoPolytope) -> ToricAnalysis:
     """Run the full pipeline on P; raises the hull's errors, NotReflexive or
@@ -223,7 +228,11 @@ def _report_dict(report: IdentityReport) -> dict:
 
 class EntryReport(Value):
     """Outcome of checking one input; mode is "toric" or "diamond", and
-    payload is a new dict unless one is given."""
+    payload is a new dict unless one is given.
+
+    In a batch, the entries of byte-identical files share one payload, so
+    a payload is read-only: change a copy, never the dict itself.
+    """
 
     __slots__ = _fields = ("name", "mode", "status", "error", "payload")
 
@@ -392,6 +401,11 @@ def _read(path) -> bytes:
     return b"".join(chunks)
 
 
+def _unreadable(name: str, exc: OSError, mode: str = "toric") -> EntryReport:
+    """The entry of a path that cannot be read or listed."""
+    return EntryReport(name, mode, CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}")
+
+
 def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     """Check one input file; no `Exception` escapes it.
 
@@ -400,15 +414,25 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
 
     mode "auto" treats files whose first nonblank byte is '{' as diamond
     JSON and everything else as a polytope file; a file that is not UTF-8
-    is a parse error.  With dual=True the file holds the dual (M-side)
-    polytope and the N-side one is reconstructed by duality before the
-    pipeline runs.
+    is a parse error, and one leading byte order mark is dropped, as the
+    utf-8-sig codec drops it.  With dual=True the file holds the dual
+    (M-side) polytope and the N-side one is reconstructed by duality
+    before the pipeline runs.
     """
     name = str(path)
-    is_diamond = mode == "diamond"
     try:
         data = _read(path)
-        is_diamond = is_diamond or (mode == "auto" and data.lstrip().startswith(b"{"))
+    except OSError as exc:
+        return _unreadable(name, exc, "diamond" if mode == "diamond" else "toric")
+    return _check_data(data, name, dual, mode)
+
+
+def _check_data(data: bytes, name: str, dual: bool = False, mode: str = "auto") -> EntryReport:
+    """run_check on a file whose bytes are data, once they are read."""
+    is_diamond = mode == "diamond" or (
+        mode == "auto" and data.removeprefix(BOM_UTF8).lstrip().startswith(b"{")
+    )
+    try:
         text = decode_text(data)
         if is_diamond:
             if dual:
@@ -418,7 +442,7 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
         if dual:
             P = reflexive_dual(P)
         return check_polytope(P, name)
-    except (OSError, ParseError) as exc:
+    except ParseError as exc:
         status, error = CheckStatus.PARSE_ERROR, f"ParseError: {exc}"
     except ValidationError as exc:
         status, error = CheckStatus.VALIDATION_ERROR, f"{type(exc).__name__}: {exc}"
@@ -504,13 +528,32 @@ def run_batch(paths) -> RunReport:
     A directory stands for its *.poly and *.json entries, named
     str(Path(p) / name); a directory that cannot be listed is one parse
     error entry named by the path, so a batch always runs to its end.
+    Every file is read, but each distinct content is checked once per
+    call: a file with the same bytes as one already checked gets that
+    entry under its own name, sharing its payload.  An internal error is
+    not kept, so each copy of such a file is checked (and logged) again.
     Entries are sorted by name.
     """
+    checked: dict[bytes, EntryReport] = {}
+
+    def check(path: str) -> EntryReport:
+        try:
+            data = _read(path)
+        except OSError as exc:
+            return _unreadable(path, exc)
+        entry = checked.get(data)
+        if entry is not None:
+            return EntryReport(path, entry.mode, entry.status, entry.error, entry.payload)
+        entry = _check_data(data, path)
+        if entry.status is not CheckStatus.INTERNAL_ERROR:
+            checked[data] = entry
+        return entry
+
     entries: list[EntryReport] = []
     for p in paths:
         p = str(Path(p))
         if not os.path.isdir(p):
-            entries.append(run_check(p))
+            entries.append(check(p))
             continue
         prefix = "" if p == "." else os.path.join(p, "")
         try:
@@ -521,10 +564,8 @@ def run_batch(paths) -> RunReport:
                 if name.endswith((".poly", ".json")) and len(name) > 5
             ]
         except OSError as exc:
-            entries.append(
-                EntryReport(p, "toric", CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}")
-            )
+            entries.append(_unreadable(p, exc))
             continue
-        entries.extend(map(run_check, files))
+        entries.extend(map(check, files))
     entries.sort(key=lambda e: e.name)
     return RunReport(tuple(entries))

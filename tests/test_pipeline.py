@@ -5,6 +5,7 @@ import gc
 import json
 import shutil
 import threading
+import warnings
 import weakref
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from fanocheck import (
     run_check,
 )
 from fanocheck import pipeline
-from fanocheck.errors import ConsistencyError, NegativeCoefficient
+from fanocheck.errors import ConsistencyError, NegativeCoefficient, SerreDualityWarning
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
 
 from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond, run_cli
@@ -67,6 +68,16 @@ class TestRunCheckToric:
         entry = run_check(FIXTURES / "bad_header.poly")
         assert entry.status is CheckStatus.PARSE_ERROR
         assert entry.status.exit_code == 2
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "p2.poly"
+        path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "p2.poly").read_bytes())
+        entry = run_check(path)
+        assert entry.status is CheckStatus.OK
+        assert entry.payload == run_check(FIXTURES / "p2.poly").payload
+        # Only one mark is dropped; a second one is text, as utf-8-sig reads it.
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + (FIXTURES / "p2.poly").read_bytes())
+        assert run_check(path).status is CheckStatus.PARSE_ERROR
 
     def test_missing_file(self, tmp_path):
         entry = run_check(tmp_path / "missing.poly")
@@ -216,6 +227,16 @@ class TestRunCheckDiamond:
         assert entry.mode == "diamond"
         assert entry.status is CheckStatus.PARSE_ERROR
         assert entry.error.startswith("ParseError:")
+
+    def test_byte_order_mark(self, tmp_path):
+        # One leading BOM is dropped before the mode is chosen, as the
+        # utf-8-sig codec drops it; the file still reads as a diamond.
+        path = tmp_path / "k3.json"
+        path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "k3.json").read_bytes())
+        entry = run_check(path)
+        plain = run_check(FIXTURES / "k3.json")
+        assert (entry.mode, entry.status, entry.error) == ("diamond", CheckStatus.OK, None)
+        assert entry.payload == plain.payload
 
     def test_violation_when_lhs_exceeds_rhs(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -470,6 +491,98 @@ class TestBatchOrder:
         # --jobs is accepted and changes nothing
         result = run_cli(["batch", "--jobs", "2", "--format", "json", *args])
         assert result.output == reference.to_json() + "\n"
+
+
+class TestBatchMemo:
+    """A batch checks each distinct file content once; a copy gets the
+    entry of the first file with its bytes, under its own name."""
+
+    def _copies(self, root):
+        # two renamed copies of every fixture, errors and warnings included
+        originals = {}
+        for fixture in sorted(FIXTURES.iterdir()):
+            for tag in ("x", "y"):
+                copy = root / f"{tag}_{fixture.name}"
+                shutil.copy(fixture, copy)
+                originals[str(copy)] = fixture
+        return originals
+
+    def _count_parses(self, monkeypatch):
+        texts = []
+        for name in ("loads_diamond", "loads_polytope"):
+            real = getattr(pipeline, name)
+
+            def counted(text, real=real):
+                texts.append(text)
+                return real(text)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        return texts
+
+    def test_copies_report_as_their_originals(self, tmp_path):
+        originals = self._copies(tmp_path)
+        report = run_batch([tmp_path])
+        assert len(report.entries) == 2 * len(list(FIXTURES.iterdir())) == 24
+        for entry in report.entries:
+            expected = run_check(originals[entry.name]).to_dict()
+            expected["name"] = entry.name
+            assert entry.to_dict() == expected
+        # the x_ copies sort before the y_ copies, in the same order
+        entries = [{**e.to_dict(), "name": None} for e in report.entries]
+        assert entries[:12] == entries[12:]
+
+    def test_each_content_is_parsed_once(self, tmp_path, monkeypatch):
+        self._copies(tmp_path)
+        texts = self._count_parses(monkeypatch)
+        run_batch([tmp_path])
+        # bad_header.poly is parsed too; it fails in the parser
+        assert len(texts) == len(set(texts)) == len(list(FIXTURES.iterdir()))
+
+    def test_one_comment_byte_apart_are_both_parsed(self, tmp_path, monkeypatch):
+        body = (FIXTURES / "p2.poly").read_bytes()
+        (tmp_path / "a.poly").write_bytes(b"# a\n" + body)
+        (tmp_path / "b.poly").write_bytes(b"# b\n" + body)
+        texts = self._count_parses(monkeypatch)
+        report = run_batch([tmp_path])
+        assert len(texts) == 2
+        assert [e.status for e in report.entries] == [CheckStatus.OK, CheckStatus.OK]
+
+    def test_internal_error_is_checked_again_for_each_copy(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        calls = []
+
+        def broken(P):
+            calls.append(P)
+            raise ConsistencyError("Betti list (1, 2) is not palindromic")
+
+        monkeypatch.setattr(pipeline, "analyze", broken)
+        for name in ("a.poly", "b.poly"):
+            shutil.copy(FIXTURES / "p2.poly", tmp_path / name)
+        report = run_batch([tmp_path])
+        assert [e.status for e in report.entries] == [CheckStatus.INTERNAL_ERROR] * 2
+        assert len(calls) == 2
+        assert sorted(r.getMessage() for r in caplog.records) == [
+            f"internal error while checking {tmp_path / name}" for name in ("a.poly", "b.poly")
+        ]
+
+    def test_same_path_twice(self, monkeypatch):
+        texts = self._count_parses(monkeypatch)
+        path = FIXTURES / "p1xp2.poly"
+        first, second = run_batch([path, path]).entries
+        assert len(texts) == 1
+        assert first.to_dict() == second.to_dict() == run_check(path).to_dict()
+
+    def test_serre_warning_once_per_content(self, tmp_path):
+        # Hodge symmetric, but h[0][0] != h[2][2]: a SerreDualityWarning
+        text = '{"n": 2, "h": [[1, 0, 0], [0, 1, 0], [0, 0, 3]]}'
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_batch([tmp_path])
+        assert [w.category for w in caught] == [SerreDualityWarning]
+        assert report.entries[0].payload is report.entries[1].payload
 
 
 report_text = st.text(
