@@ -12,12 +12,12 @@ from codecs import BOM_UTF8
 from itertools import chain
 from pathlib import Path
 
-from .diamond import HodgeDiamond
 from .errors import InvalidDiamond, ParseError
 from .value import Value, set_field
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only; diamond files never load lattice
+if TYPE_CHECKING:  # annotations only; each file format loads its own module
+    from .diamond import HodgeDiamond
     from .lattice import FanoPolytope
 
 
@@ -160,7 +160,10 @@ def _bounded_ints(fields, what: str) -> tuple[int, ...]:
 def loads_diamond(text: str) -> DiamondFile:
     """Parse diamond file contents.  Shape and type problems raise
     ParseError; table-consistency problems raise the constructor's errors."""
-    import json  # imported here, so that polytope files never load it
+    # Imported here, so that polytope files load neither.
+    import json
+
+    from .diamond import HodgeDiamond
 
     try:
         obj = json.loads(text)

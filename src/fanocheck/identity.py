@@ -21,14 +21,14 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .diamond import HodgeDiamond, chi_p
 from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
 from .value import Value, set_field
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only; diamond mode never loads these
+if TYPE_CHECKING:  # annotations only; a check loads only what its mode runs
     from fractions import Fraction
 
+    from .diamond import HodgeDiamond
     from .invariants import ToricInvariants
     from .lattice import FaceLattice, FanoPolytope
 
@@ -196,40 +196,39 @@ def check_betti_chern(
     quarter_form_ok whether the original-normalization identity holds.
     Each verdict compares the integer numerators over a common scale.
     """
-    return _betti_chern_report(diamond, c1_cn1, c_n)
+    if not diamond.is_odd_vanishing:
+        raise HypothesisViolated(
+            "diamond has nonzero odd cohomology; the inequality does not apply"
+        )
+    return _report(diamond.even_betti(), diamond._defect4, c1_cn1, c_n, diamond._chi_p)
 
 
 def partial_report(diamond: HodgeDiamond) -> IdentityReport:
     """The report of a diamond whose Chern numbers are not known: lhs and
     the defect, with every rhs-dependent field None."""
-    return IdentityReport(
-        n=diamond.n,
-        lhs4=_weighted_sum4(diamond.even_betti(), diamond.n),
-        defect4=diamond._defect4,
-    )
+    return _report(diamond.even_betti(), diamond._defect4)
 
 
-def _betti_chern_report(
-    diamond: HodgeDiamond, c1_cn1: int, c_n: int, face_count_ok: bool | None = None
+def _report(
+    betti, defect4: int, c1_cn1=None, c_n=None, chi=None, face_count_ok=None
 ) -> IdentityReport:
-    """check_betti_chern's report, with face_count_ok as given."""
-    if not diamond.is_odd_vanishing:
-        raise HypothesisViolated(
-            "diamond has nonzero odd cohomology; the inequality does not apply"
-        )
-    n = diamond.n
-    betti = diamond.even_betti()
+    """The report of the even Betti numbers betti, in dimension
+    len(betti) - 1, with defect numerator defect4; with c_n, also the rhs
+    side and its verdicts, chi_identity_ok tested on the chi side chi."""
+    n = len(betti) - 1
     lhs4 = _weighted_sum4(betti, n)
+    if c_n is None:
+        return IdentityReport(n=n, lhs4=lhs4, defect4=defect4)
     rhs12 = _chern_side12(c1_cn1, c_n, n)
     quarter16, quarter48 = _quarter_sides(betti, c1_cn1, n)
     return IdentityReport(
         n=n,
         lhs4=lhs4,
-        defect4=diamond._defect4,
+        defect4=defect4,
         rhs12=rhs12,
         equality=3 * lhs4 == rhs12,
         inequality_ok=3 * lhs4 <= rhs12,
-        chi_identity_ok=3 * _weighted_sum4(chi_p(diamond), n) == rhs12,
+        chi_identity_ok=3 * _weighted_sum4(chi, n) == rhs12,
         quarter_form_ok=3 * quarter16 == quarter48,
         face_count_ok=face_count_ok,
     )
@@ -255,17 +254,15 @@ def _face_count_holds(n: int, fvec, c1_cn1: int) -> bool:
 
 
 def toric_identity_report(inv: ToricInvariants) -> IdentityReport:
-    """Identity report for a smooth toric Fano given its computed invariants.
+    """Identity report for a smooth toric Fano given its computed invariants,
+    built from the Betti numbers and the two Chern numbers alone.
 
-    The diamond is the diagonal one built from the Betti numbers, so for a
-    correct pipeline equality must hold with defect zero.  Here c_n is the
-    sum of the Betti numbers and the Betti list is palindromic, so
+    The variety's diamond is diagonal, so the defect is 0 and chi_p is the
+    Betti number h^{2p}.  With c_n the sum of the palindromic Betti list,
     chi_identity_ok, quarter_form_ok and face_count_ok each equal equality
     by construction: they restate it and cannot disagree with it.
     """
-    return _betti_chern_report(
-        HodgeDiamond.from_betti(inv.betti),
-        inv.c1_cn1,
-        inv.c_n,
-        face_count_ok=_face_count_holds(inv.n, inv.f_vector, inv.c1_cn1),
+    return _report(
+        inv.betti, 0, inv.c1_cn1, inv.c_n, inv.betti,
+        _face_count_holds(inv.n, inv.f_vector, inv.c1_cn1),
     )

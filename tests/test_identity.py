@@ -1,5 +1,6 @@
 """The weighted Betti / Chern identity in all its forms."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from fanocheck import (
     HodgeDiamond,
     IdentityReport,
+    ToricInvariants,
+    analyze,
     check_betti_chern,
     chern_side,
     chi_p,
@@ -24,15 +27,24 @@ from fanocheck import (
     loads_polytope,
     polar_dual,
     quarter_weighted_form,
+    read_polytope,
     reflexive_dual,
+    toric_identity_report,
     verify_chi_identity,
     verify_face_count_identity,
     weighted_betti_sum,
 )
-from fanocheck.errors import HypothesisViolated, LengthMismatch, NotPalindromic
+from fanocheck.errors import (
+    HypothesisViolated,
+    LengthMismatch,
+    NotPalindromic,
+    ParseError,
+    ValidationError,
+)
 from fanocheck.pipeline import _report_dict
 
 from conftest import random_symmetric_diamond
+from test_golden import FIXTURES, GOLDEN, ROOT, _generated_polytopes
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::fanocheck.errors.SerreDualityWarning"
@@ -439,3 +451,65 @@ class TestIdentityReportNumerators:
             assert type(got) is Fraction
             assert got == Fraction(num, scale)
             assert written[name] == _old_frac_str(Fraction(num, scale))
+
+
+def ref_toric_report(inv, face_count_ok):
+    """The toric report as the diagonal diamond of the Betti numbers gives
+    it, with face_count_ok as given."""
+    ref = check_betti_chern(HodgeDiamond.from_betti(inv.betti), inv.c1_cn1, inv.c_n)
+    return IdentityReport(*ref._key()[:-1], face_count_ok)
+
+
+@st.composite
+def _toric_invariants(draw):
+    """Palindromic Betti numbers with c_n their sum, an f-vector drawn at
+    random, and c1_cn1 within 1 of where the two sides meet."""
+    n = draw(st.integers(1, 8))
+    half = [1, *draw(st.lists(st.integers(0, 10**6), min_size=n // 2, max_size=n // 2))]
+    betti = (*half, *half[: n + 1 - len(half)][::-1])
+    f_vector = tuple(draw(st.lists(st.integers(0, 500), min_size=n + 1, max_size=n + 1)))
+    c_n = sum(betti)
+    meeting = (12 * ref_weighted_betti_sum(betti, n) - n * c_n) / 2
+    c1_cn1 = math.floor(meeting) + draw(st.integers(-1, 1))
+    return ToricInvariants(n, betti, c_n, c1_cn1, f_vector, c1_cn1 - f_vector[1])
+
+
+class TestToricReportMatchesDiamondRoute:
+    """toric_identity_report builds no diamond; the report it gives is the
+    one check_betti_chern gives on the diagonal diamond of the Betti
+    numbers, plus the face-count verdict."""
+
+    def test_golden_inputs(self):
+        cases = list(_generated_polytopes())
+        for path in sorted(FIXTURES.glob("*.poly")):
+            label = path.relative_to(ROOT).as_posix()
+            try:
+                P = read_polytope(path)
+                cases.append((label, P))
+                cases.append((f"{label} --dual", reflexive_dual(P)))
+            except (ParseError, ValidationError):
+                pass
+        checked = []
+        for label, P in cases:
+            try:
+                analysis = analyze(P)
+            except ValidationError:
+                continue
+            delta, inv = analysis.delta, analysis.invariants
+            face_count_ok = verify_face_count_identity(delta, face_lattice(delta))
+            assert toric_identity_report(inv) == ref_toric_report(inv, face_count_ok), label
+            checked.append(label)
+        golden = json.loads(GOLDEN.read_text())
+        toric = [k for k, v in golden.items() if v["mode"] == "toric" and "identity" in v]
+        assert sorted(checked) == sorted(toric)
+
+    @given(_toric_invariants())
+    def test_palindromic_betti(self, inv):
+        n, f = inv.n, inv.f_vector
+        two_faces = f[2] if n >= 2 else 0
+        face_count_ok = two_faces == Fraction(inv.edge_interior_total, 12) + (
+            Fraction(n * n, 8) - Fraction(n, 6)
+        ) * f[0]
+        got = toric_identity_report(inv)
+        assert got == ref_toric_report(inv, face_count_ok)
+        assert got.defect4 == 0

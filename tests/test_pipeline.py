@@ -3,6 +3,7 @@
 import errno
 import gc
 import json
+import os
 import shutil
 import threading
 import warnings
@@ -45,6 +46,18 @@ class TestRunCheckToric:
             "quarter_form_ok", "face_count_ok",
         ))
         assert all(entry.payload["consistency"].values())
+
+    def test_p2_builds_no_diamond(self, monkeypatch):
+        from fanocheck import HodgeDiamond
+
+        def refuse(self, *args):
+            raise AssertionError("a HodgeDiamond was built")
+
+        monkeypatch.setattr(HodgeDiamond, "__init__", refuse)
+        clear_caches()
+        assert run_check(FIXTURES / "p2.poly").status is CheckStatus.OK
+        # the patch does refuse a diamond file
+        assert run_check(FIXTURES / "k3.json").status is CheckStatus.INTERNAL_ERROR
 
     def test_singular_is_validation_error(self):
         entry = run_check(FIXTURES / "singular_dp.poly")
@@ -403,14 +416,14 @@ class TestInputFiles:
         locked = tmp_path / "locked"
         locked.mkdir()
         shutil.copy(FIXTURES / "k3.json", tmp_path)
-        listdir = pipeline.os.listdir
+        scandir = pipeline.os.scandir
 
         def refuse(path):
             if str(path) == str(locked):
                 raise PermissionError(errno.EACCES, "Permission denied", str(path))
-            return listdir(path)
+            return scandir(path)
 
-        monkeypatch.setattr(pipeline.os, "listdir", refuse)
+        monkeypatch.setattr(pipeline.os, "scandir", refuse)
         report = run_batch([FIXTURES / "p2.poly", locked, tmp_path])
         assert [(e.name, e.mode, e.status, e.error) for e in report.entries] == sorted([
             (str(FIXTURES / "p2.poly"), "toric", CheckStatus.OK, None),
@@ -425,6 +438,40 @@ class TestInputFiles:
         result = run_cli(["batch", locked, "--format", "json"])
         assert result.exit_code == 2
         assert json.loads(result.output)["aggregate"]["errors"] == 1
+
+    def test_scanned_entry_that_is_not_a_file_is_not_read(self, tmp_path):
+        # A device is one parse error, unread; a dangling link is read, and
+        # the read's error names it.
+        shutil.copy(FIXTURES / "p2.poly", tmp_path)
+        device, dangling = tmp_path / "null.poly", tmp_path / "gone.json"
+        device.symlink_to(os.devnull)
+        dangling.symlink_to(tmp_path / "nowhere")
+        report = run_batch([tmp_path])
+        assert [(e.name, e.status, e.error) for e in report.entries] == [
+            (
+                str(dangling),
+                CheckStatus.PARSE_ERROR,
+                f"ParseError: [Errno 2] No such file or directory: '{dangling}'",
+            ),
+            (str(device), CheckStatus.PARSE_ERROR, f"ParseError: not a regular file: '{device}'"),
+            (str(tmp_path / "p2.poly"), CheckStatus.OK, None),
+        ]
+
+    def test_named_fifo_is_read(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        fifo = tmp_path / "p2.poly"
+        os.mkfifo(fifo)
+        data = (FIXTURES / "p2.poly").read_bytes()
+
+        def write():
+            fifo.write_bytes(data)
+
+        for check in (run_check, lambda path: run_batch([path]).entries[0]):
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            assert check(fifo).status is CheckStatus.OK
+            writer.join(timeout=60)
 
     def _directory(self, root):
         for name in ("a.json", "..json", ".json", "c.JSON"):
