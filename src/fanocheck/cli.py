@@ -23,7 +23,13 @@ _ESCAPE = re.compile(r"\x1b\[[;?0-9]*[a-zA-Z]")
 
 def _write(chunks) -> None:
     """Write text chunks to stdout, without escape sequences unless stdout
-    is a terminal."""
+    is a terminal.
+
+    A file name that is not UTF-8 holds lone surrogates; where stdout's
+    encoder is strict they are written as backslash escapes, as on stderr.
+    """
+    if getattr(sys.stdout, "errors", None) == "strict":
+        sys.stdout.reconfigure(errors="backslashreplace")
     if not sys.stdout.isatty():
         chunks = (_ESCAPE.sub("", chunk) for chunk in chunks)
     sys.stdout.writelines(chunks)
@@ -51,23 +57,28 @@ def _wrote(paths) -> None:
 
 def _output(emit, *args) -> int:
     """Call emit(*args), which writes to stdout and flushes it; return 0,
-    or 141 (128 + SIGPIPE, none of the report's codes) when the reader of
-    stdout went away."""
+    141 (128 + SIGPIPE, none of the report's codes) when the reader of
+    stdout went away, or 74 (EX_IOERR) when stdout cannot be written."""
     try:
         emit(*args)
     except BrokenPipeError:
-        # As the signal module's documentation advises: point stdout at
-        # devnull, so that the flush at exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
-    return 0
+        code = 141
+    except OSError as exc:
+        print(f"Error: cannot write the report: {exc}", file=sys.stderr)
+        code = 74
+    else:
+        return 0
+    # As the signal module's documentation advises: point stdout at
+    # devnull, so that the flush at exit does not raise again.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return code
 
 
 def _report(report: RunReport, fmt: str) -> int:
-    """Write the report and return its exit status, or 141 when the reader
-    of stdout went away."""
+    """Write the report and return its exit status, or _output's code when
+    stdout could not take it."""
     return _output(_emit, report, fmt) or report.exit_status
 
 
@@ -208,7 +219,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
 def main(args=None, prog_name=None):
     """Run one command and exit with its status: 0-3 from the report, 141
-    when stdout closed early, 1 for a `gen` error, 2 for a usage error.
+    when stdout closed early, 74 when it cannot be written, 1 for a `gen`
+    error, 2 for a usage error.
 
     args defaults to sys.argv[1:], prog_name to "fanocheck".
     """

@@ -75,13 +75,8 @@ toric_invariants = _on_first_call("invariants", "toric_invariants")
 polar_dual = _on_first_call("lattice", "polar_dual")
 reflexive_dual = _on_first_call("lattice", "reflexive_dual")
 
-# Not called here any more.  bench/tracer.py rebinds these names (and
-# lattice.combinations), and its traced run stops when one is missing.
-# defect and weighted_betti_sum return Fractions, which a report no longer
-# builds; the tracer's diamond and identity layers name them (it rebinds
-# defect here and wraps identity.weighted_betti_sum).
-defect = _on_first_call("diamond", "defect")
-weighted_betti_sum = _on_first_call("identity", "weighted_betti_sum")
+# Not called here: bench/tracer.py reads these four names from this module
+# to wrap them, and its traced run stops when one is missing.
 compute_invariants = _on_first_call("invariants", "compute_invariants")
 second_derivative_at_one = _on_first_call("invariants", "second_derivative_at_one")
 face_lattice = _on_first_call("lattice", "face_lattice")

@@ -1,5 +1,6 @@
 """Command-line interface, run in process."""
 
+import ast
 import errno
 import io
 import json
@@ -327,6 +328,81 @@ class TestClosedStdout:
             assert run_cli(["check", tmp_path / name]).exit_code == 0
 
 
+def _non_utf8_copy(directory: Path) -> Path:
+    """A copy of p2.poly in `directory` whose name holds the byte 0xff."""
+    path = directory / os.fsdecode(b"a\xff.poly")
+    try:
+        shutil.copy(FIXTURES / "p2.poly", path)
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    return path
+
+
+def _run(args, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """`fanocheck ARGS` in a child, with ENV added to its environment."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    return subprocess.run(
+        [sys.executable, "-c", "from fanocheck.cli import main; main()", *map(str, args)],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=dict(base, PYTHONPATH=str(SRC), **env),
+        timeout=60,
+    )
+
+
+class TestStrictStdout:
+    """A name that is not UTF-8, on a stdout whose encoder is strict, is
+    written with the escape that the JSON report uses."""
+
+    STRICT = {"PYTHONIOENCODING": "utf-8:strict"}
+
+    def test_text_reports(self, tmp_path):
+        path = _non_utf8_copy(tmp_path)
+        for args in (["batch", tmp_path], ["check", path]):
+            child = _run(args, **self.STRICT)
+            assert (child.returncode, child.stderr) == (0, b"")
+            assert b"a\\udcff.poly (toric) ==" in child.stdout
+
+    def test_json_report_is_unchanged(self, tmp_path):
+        _non_utf8_copy(tmp_path)
+        args = ["batch", tmp_path, "--format", "json"]
+        strict, default = _run(args, **self.STRICT), _run(args)
+        assert strict.returncode == default.returncode == 0
+        assert b'a\\udcff.poly"' in default.stdout
+        assert strict.stdout == default.stdout
+
+    def test_gen_names_what_it_wrote(self, tmp_path):
+        out = _non_utf8_copy(tmp_path).with_name(os.fsdecode(b"\xff.poly"))
+        child = _run(["gen", "pn", "2", "-o", out], **self.STRICT)
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout.endswith(b"\\udcff.poly\n")
+        assert run_cli(["check", out]).exit_code == 0
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot take the report is EX_IOERR, 74, not an
+    identity violation."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["batch", FIXTURES, "--format", "json"],
+            ["batch", FIXTURES, "--format", "text"],
+            ["gen", "pn", "2", "-o", "p2.poly"],
+        ],
+    )
+    def test_full_device(self, tmp_path, monkeypatch, args):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        monkeypatch.chdir(tmp_path)
+        with open("/dev/full", "wb") as full:
+            child = _run(args, stdout=full)
+        assert child.returncode == 74
+        assert child.stderr.decode().splitlines() == [
+            "Error: cannot write the report: [Errno 28] No space left on device"
+        ]
+
+
 _CHECK_MODULES = {
     f"fanocheck.{m}" for m in ("diamond", "files", "identity", "invariants", "lattice")
 }
@@ -411,6 +487,30 @@ class TestStartup:
             f"sorted({{*sys.modules}} & {_CHECK_MODULES!r}))"
         )
         assert _child(code) == "[] []\n"
+
+    def test_each_stand_in_is_called_or_traced(self):
+        # A first-call stand-in in pipeline is bound only for a reader: a
+        # call in pipeline's own functions or a pipeline.<name> in the tracer.
+        tree = ast.parse((SRC / "fanocheck" / "pipeline.py").read_text())
+        bound = {
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "_on_first_call"
+            for target in node.targets
+        }
+        called = {
+            node.func.id
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        source = (SRC.parent / "bench" / "tracer.py").read_text()
+        traced = set(re.findall(r"(?<![\w.\"])pipeline\.(\w+)", source))
+        assert {"polar_dual", "chi_p", "compute_invariants"} <= bound
+        assert sorted(bound - called - traced) == []
 
     def test_wrappers_set_before_a_check_are_kept(self):
         code = f"""

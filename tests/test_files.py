@@ -1,6 +1,7 @@
 """Polytope text files and diamond JSON files."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,9 @@ from fanocheck import (
     gen_pn,
     loads_diamond,
     loads_polytope,
+    read_diamond,
     read_polytope,
+    write_diamond,
     write_polytope,
 )
 from fanocheck.errors import (
@@ -30,6 +33,8 @@ from conftest import (
     corner_diamond,
     random_unimodular,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestPolytopeFiles:
@@ -180,6 +185,16 @@ class TestDiamondFiles:
         again = loads_diamond(dumps_diamond(d, c1_cn1=0, c_n=24))
         assert again.diamond == d
         assert (again.c1_cn1, again.c_n) == (0, 24)
+
+    def test_file_io(self, tmp_path):
+        k3 = read_diamond(FIXTURES / "k3.json")
+        path = tmp_path / "k3.json"
+        write_diamond(k3.diamond, path, c1_cn1=k3.c1_cn1, c_n=k3.c_n)
+        assert read_diamond(path) == k3
+
+    def test_read_missing_file(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            read_diamond(tmp_path / "nope.json")
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):

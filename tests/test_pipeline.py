@@ -92,6 +92,21 @@ class TestRunCheckToric:
         path.write_bytes(b"\xef\xbb\xbf" * 2 + (FIXTURES / "p2.poly").read_bytes())
         assert run_check(path).status is CheckStatus.PARSE_ERROR
 
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            ("0 0", "InvalidDimension: dimension must be >= 1, got 0"),
+            ("-1 0", "InvalidDimension: dimension must be >= 1, got -1"),
+            ("1 0", "DegenerateInput: empty vertex list"),
+        ],
+    )
+    def test_header_with_no_vertices(self, tmp_path, header, error):
+        path = tmp_path / "empty.poly"
+        path.write_text(f"{header}\n")
+        entry = run_check(path)
+        assert entry.status is CheckStatus.VALIDATION_ERROR
+        assert entry.error == error
+
     def test_missing_file(self, tmp_path):
         entry = run_check(tmp_path / "missing.poly")
         assert entry.status is CheckStatus.PARSE_ERROR
