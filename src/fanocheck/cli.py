@@ -82,7 +82,7 @@ def _report(report: RunReport, fmt: str) -> int:
     return _output(_emit, report, fmt) or report.exit_status
 
 
-def _error(exc: FanocheckError) -> int:
+def _error(exc: FanocheckError | OSError) -> int:
     print(f"Error: {exc}", file=sys.stderr)
     return 1
 
@@ -104,10 +104,9 @@ def _gen_pn(args) -> int:
     from .files import write_polytope
 
     try:
-        P = gen_pn(args.n)
-    except FanocheckError as exc:
+        write_polytope(gen_pn(args.n), args.output, comment=f"P^{args.n}")
+    except (FanocheckError, OSError) as exc:
         return _error(exc)
-    write_polytope(P, args.output, comment=f"P^{args.n}")
     return _output(_wrote, [args.output])
 
 
@@ -117,9 +116,9 @@ def _gen_sum(args) -> int:
 
     try:
         S = gen_direct_sum(read_polytope(args.file1), read_polytope(args.file2))
-    except FanocheckError as exc:
+        write_polytope(S, args.output, comment=f"direct sum of {args.file1} and {args.file2}")
+    except (FanocheckError, OSError) as exc:
         return _error(exc)
-    write_polytope(S, args.output, comment=f"direct sum of {args.file1} and {args.file2}")
     return _output(_wrote, [args.output])
 
 
@@ -128,11 +127,14 @@ def _corpus_dim2(args) -> int:
     from .files import write_polytope
 
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for entry in dim2_corpus():
-        paths.append(out / f"{entry.name.lower()}.poly")
-        write_polytope(entry.polytope, paths[-1], comment=entry.name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for entry in dim2_corpus():
+            paths.append(out / f"{entry.name.lower()}.poly")
+            write_polytope(entry.polytope, paths[-1], comment=entry.name)
+    except (FanocheckError, OSError) as exc:
+        return _error(exc)
     return _output(_wrote, paths)
 
 
@@ -220,7 +222,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 def main(args=None, prog_name=None):
     """Run one command and exit with its status: 0-3 from the report, 141
     when stdout closed early, 74 when it cannot be written, 1 for a `gen`
-    error, 2 for a usage error.
+    or `corpus` error, 2 for a usage error.
 
     args defaults to sys.argv[1:], prog_name to "fanocheck".
     """

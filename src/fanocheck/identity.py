@@ -37,10 +37,10 @@ class IdentityReport(Value):
     """Both sides of the identity plus the individual verdicts.
 
     The sides are the kernels' integer numerators: lhs4 and defect4 over 4,
-    rhs12 over 12.  lhs, defect and rhs are the exact Fractions, built when
-    read.  rhs-dependent fields are None when the Chern numbers needed to
-    compute them were not supplied; face_count_ok is only filled in toric
-    mode.
+    rhs12 over 12.  lhs, defect and rhs are the exact Fractions, and
+    equality and inequality_ok compare lhs4 and rhs12, when read.
+    rhs-dependent fields are None when the Chern numbers needed to compute
+    them were not supplied; face_count_ok is only filled in toric mode.
     """
 
     __slots__ = _fields = (
@@ -48,8 +48,6 @@ class IdentityReport(Value):
         "lhs4",
         "defect4",
         "rhs12",
-        "equality",
-        "inequality_ok",
         "chi_identity_ok",
         "quarter_form_ok",
         "face_count_ok",
@@ -61,8 +59,6 @@ class IdentityReport(Value):
         lhs4: int,
         defect4: int,
         rhs12: int | None = None,
-        equality: bool | None = None,
-        inequality_ok: bool | None = None,
         chi_identity_ok: bool | None = None,
         quarter_form_ok: bool | None = None,
         face_count_ok: bool | None = None,
@@ -71,11 +67,19 @@ class IdentityReport(Value):
         set_field(self, "lhs4", lhs4)
         set_field(self, "defect4", defect4)
         set_field(self, "rhs12", rhs12)
-        set_field(self, "equality", equality)
-        set_field(self, "inequality_ok", inequality_ok)
         set_field(self, "chi_identity_ok", chi_identity_ok)
         set_field(self, "quarter_form_ok", quarter_form_ok)
         set_field(self, "face_count_ok", face_count_ok)
+
+    @property
+    def equality(self) -> bool | None:
+        """lhs == rhs; None without Chern numbers."""
+        return None if self.rhs12 is None else 3 * self.lhs4 == self.rhs12
+
+    @property
+    def inequality_ok(self) -> bool | None:
+        """lhs <= rhs; None without Chern numbers."""
+        return None if self.rhs12 is None else 3 * self.lhs4 <= self.rhs12
 
     @property
     def lhs(self) -> Fraction:
@@ -226,8 +230,6 @@ def _report(
         lhs4=lhs4,
         defect4=defect4,
         rhs12=rhs12,
-        equality=3 * lhs4 == rhs12,
-        inequality_ok=3 * lhs4 <= rhs12,
         chi_identity_ok=3 * _weighted_sum4(chi, n) == rhs12,
         quarter_form_ok=3 * quarter16 == quarter48,
         face_count_ok=face_count_ok,

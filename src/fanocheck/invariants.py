@@ -202,11 +202,11 @@ def second_derivative_at_one(poly: IntPolynomial) -> int:
 class ToricInvariants(Value):
     """Invariant bundle for one smooth toric Fano variety.
 
-    betti[k] is h^{2k}; f_vector and edge_interior_total refer to the dual
-    polytope.  All entries are exact integers.
+    betti[k] is h^{2k}; f_vector refers to the dual polytope.  All entries
+    are exact integers.
     """
 
-    __slots__ = _fields = ("n", "betti", "c_n", "c1_cn1", "f_vector", "edge_interior_total")
+    __slots__ = _fields = ("n", "betti", "c_n", "c1_cn1", "f_vector")
 
     def __init__(
         self,
@@ -215,14 +215,12 @@ class ToricInvariants(Value):
         c_n: int,
         c1_cn1: int,
         f_vector: tuple[int, ...],
-        edge_interior_total: int,
     ):
         set_field(self, "n", n)
         set_field(self, "betti", betti)
         set_field(self, "c_n", c_n)
         set_field(self, "c1_cn1", c1_cn1)
         set_field(self, "f_vector", f_vector)
-        set_field(self, "edge_interior_total", edge_interior_total)
 
 
 def _check_betti(betti, n: int) -> None:
@@ -268,14 +266,8 @@ def toric_invariants(P: FanoPolytope, delta: FanoPolytope) -> tuple[ToricInvaria
     two_faces = {inc & ~(1 << i | 1 << j) for inc in facets for i, j in combinations(_bits(inc), 2)}
     counted = (len(walls), len(two_faces))
     consistent = degrees == lengths and counted == (fvec[1], fvec[2] if n >= 2 else 0)
-    c1_cn1 = sum(lengths)
     inv = ToricInvariants(
-        n=n,
-        betti=betti,
-        c_n=len(facets),
-        c1_cn1=c1_cn1,
-        f_vector=fvec,
-        edge_interior_total=c1_cn1 - fvec[1],
+        n=n, betti=betti, c_n=len(facets), c1_cn1=sum(lengths), f_vector=fvec
     )
     return inv, consistent
 
@@ -290,13 +282,7 @@ def compute_invariants(delta: FanoPolytope, faces: FaceLattice) -> ToricInvarian
     n = delta.dim
     betti = betti_numbers(poincare_polynomial(faces))
     _check_betti(betti, n)
-    fvec = faces.f_vector()
     c_top, c1_part = chern_numbers(delta, faces)
     return ToricInvariants(
-        n=n,
-        betti=betti,
-        c_n=c_top,
-        c1_cn1=c1_part,
-        f_vector=fvec,
-        edge_interior_total=c1_part - fvec[1],
+        n=n, betti=betti, c_n=c_top, c1_cn1=c1_part, f_vector=faces.f_vector()
     )

@@ -7,10 +7,10 @@ Each facet's vertices are one int bitmask, bit i for vertex i, throughout;
 a listed point is a vertex when the facets through it meet in it alone.
 
 Each polytope is scanned at most once: its hull is a cached property of the
-polytope, and so is one fraction-free inverse per simplex facet once
-smoothness or the fan is asked for, so both live exactly as long as the
-polytope does.  The dual of a reflexive polytope is never scanned: its
-facets are the polytope's vertices, with the incidences transposed, so
+polytope, and so is one fraction-free inverse per facet once smoothness
+or the fan is asked for, so both live exactly as long as the polytope
+does.  The dual of a reflexive polytope is never scanned: its facets are
+the polytope's vertices, with the incidences transposed, so
 `reflexive_dual` attaches its hull straight from the polytope's.
 """
 
@@ -224,42 +224,36 @@ class FanoPolytope(Value):
         return _scan(self)
 
     @cached_property
-    def cones(self) -> tuple[Cone | None, ...]:
-        """Per facet, its Cone, or None when the facet is not a simplex:
-        one elimination per facet, on first use."""
-        out: list[Cone | None] = []
-        for inc in self.hull.incidences:
+    def cones(self) -> tuple[Cone, ...]:
+        """Per facet, its Cone, from one elimination per facet on first use;
+        raises NotSmooth at the first facet, in hull order, that is not a
+        unimodular simplex."""
+        out = []
+        for h, inc in zip(self.hull.halfspaces, self.hull.incidences):
             if inc.bit_count() != self.dim:
-                out.append(None)
-                continue
+                raise NotSmooth(f"facet with normal {h.normal} is not a simplex")
             indices = _bits(inc)
             det, adj = _adjugate([self.vertices[i] for i in indices])
-            inverse = None
-            if det in (1, -1):
-                # B^-1 = adj B / det, and 1 / det = det
-                inverse = tuple(tuple(det * a for a in row) for row in adj)
-            out.append(Cone(indices, det, inverse))
+            if det not in (1, -1):
+                raise NotSmooth(
+                    f"facet with normal {h.normal} has vertex determinant != +/-1"
+                )
+            # B^-1 = adj B / det, and 1 / det = det
+            out.append(Cone(indices, tuple(tuple(det * a for a in row) for row in adj)))
         return tuple(out)
 
 
 class Cone(Value):
-    """A simplex facet of P seen as a maximal cone of P's fan.
+    """A unimodular simplex facet of P seen as a maximal cone of P's fan.
 
-    indices are the facet's vertex indices in increasing order, det is the
-    determinant of the matrix B whose rows are those vertices, and inverse
-    is B^-1 (as rows) when det is +/-1, else None.
+    indices are the facet's vertex indices in increasing order, and inverse
+    is B^-1 (as rows), B the matrix whose rows are those vertices.
     """
 
-    __slots__ = _fields = ("indices", "det", "inverse")
+    __slots__ = _fields = ("indices", "inverse")
 
-    def __init__(
-        self,
-        indices: tuple[int, ...],
-        det: int,
-        inverse: tuple[tuple[int, ...], ...] | None,
-    ):
+    def __init__(self, indices: tuple[int, ...], inverse: tuple[tuple[int, ...], ...]):
         set_field(self, "indices", indices)
-        set_field(self, "det", det)
         set_field(self, "inverse", inverse)
 
 
@@ -364,19 +358,13 @@ def is_reflexive(P: FanoPolytope) -> bool:
     return all(h.offset == 1 for h in P.hull.halfspaces)
 
 
-def _smoothness_failure(P: FanoPolytope) -> str | None:
-    """Why some facet of P is not a unimodular simplex, or None if none."""
-    for h, cone in zip(P.hull.halfspaces, P.cones):
-        if cone is None:
-            return f"facet with normal {h.normal} is not a simplex"
-        if cone.det not in (1, -1):
-            return f"facet with normal {h.normal} has vertex determinant != +/-1"
-    return None
-
-
 def is_smooth(P: FanoPolytope) -> bool:
     """True iff every facet is a simplex whose vertices form a lattice basis."""
-    return _smoothness_failure(P) is None
+    try:
+        P.cones
+    except NotSmooth:
+        return False
+    return True
 
 
 def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
@@ -408,9 +396,6 @@ def facet_cones(P: FanoPolytope) -> tuple[Cone, ...]:
     """The maximal cones of the fan of a smooth P, aligned with
     facet_enumeration; raises NotSmooth if some facet is not a unimodular
     simplex."""
-    failure = _smoothness_failure(P)
-    if failure:
-        raise NotSmooth(failure)
     return P.cones
 
 

@@ -208,6 +208,41 @@ class TestGenerators:
         assert batch.exit_code == 0
         assert "5 ok" in batch.output
 
+    @staticmethod
+    def _bad_parent(tmp_path, kind):
+        """A directory path that cannot be written into: one that does not
+        exist, or a regular file."""
+        if kind == "missing":
+            return tmp_path / "missing"
+        parent = tmp_path / "file"
+        parent.write_text("")
+        return parent
+
+    @staticmethod
+    def _assert_one_error_line(result):
+        assert result.exit_code == 1
+        assert result.output == ""
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: ")
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_gen_pn_unwritable_output(self, tmp_path, kind):
+        out = self._bad_parent(tmp_path, kind) / "x.poly"
+        self._assert_one_error_line(run_cli(["gen", "pn", "2", "-o", out]))
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_gen_sum_unwritable_output(self, tmp_path, kind):
+        out = self._bad_parent(tmp_path, kind) / "s.poly"
+        p2 = FIXTURES / "p2.poly"
+        self._assert_one_error_line(run_cli(["gen", "sum", p2, p2, "-o", out]))
+
+    # A missing output directory is made, so only a file in the way fails.
+    @pytest.mark.parametrize("inner", ["", "x"], ids=["is_a_file", "under_a_file"])
+    def test_corpus_dim2_unwritable_output_dir(self, tmp_path, inner):
+        out = self._bad_parent(tmp_path, "file") / inner
+        self._assert_one_error_line(run_cli(["corpus", "dim2", "-o", out]))
+
 
 class TestUsage:
     @pytest.mark.parametrize(

@@ -451,6 +451,11 @@ class TestIdentityReportNumerators:
             assert type(got) is Fraction
             assert got == Fraction(num, scale)
             assert written[name] == _old_frac_str(Fraction(num, scale))
+        if rhs12 is None:
+            assert report.equality is None and report.inequality_ok is None
+        else:
+            assert report.equality == (3 * lhs4 == rhs12)
+            assert report.inequality_ok == (3 * lhs4 <= rhs12)
 
 
 def ref_toric_report(inv, face_count_ok):
@@ -471,7 +476,7 @@ def _toric_invariants(draw):
     c_n = sum(betti)
     meeting = (12 * ref_weighted_betti_sum(betti, n) - n * c_n) / 2
     c1_cn1 = math.floor(meeting) + draw(st.integers(-1, 1))
-    return ToricInvariants(n, betti, c_n, c1_cn1, f_vector, c1_cn1 - f_vector[1])
+    return ToricInvariants(n, betti, c_n, c1_cn1, f_vector)
 
 
 class TestToricReportMatchesDiamondRoute:
@@ -507,7 +512,7 @@ class TestToricReportMatchesDiamondRoute:
     def test_palindromic_betti(self, inv):
         n, f = inv.n, inv.f_vector
         two_faces = f[2] if n >= 2 else 0
-        face_count_ok = two_faces == Fraction(inv.edge_interior_total, 12) + (
+        face_count_ok = two_faces == Fraction(inv.c1_cn1 - f[1], 12) + (
             Fraction(n * n, 8) - Fraction(n, 6)
         ) * f[0]
         got = toric_identity_report(inv)

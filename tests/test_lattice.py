@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from fanocheck import (
     dim2_corpus,
     edge_interior_points,
     face_lattice,
+    facet_cones,
     facet_enumeration,
     facet_incidences,
     gen_direct_sum,
@@ -19,6 +21,7 @@ from fanocheck import (
     is_reflexive,
     is_smooth,
     polar_dual,
+    read_polytope,
     reflexive_dual,
 )
 from fanocheck.errors import (
@@ -168,6 +171,30 @@ class TestPredicates:
     def test_cube_reflexive_not_smooth(self):
         assert is_reflexive(CUBE3)
         assert not is_smooth(CUBE3)  # facets are squares, not simplices
+
+
+class TestSmoothnessMessages:
+    # NotSmooth names the first facet, in hull order, that is not a
+    # unimodular simplex, and says which of the two ways it fails.
+    CASES = [
+        (SINGULAR, "facet with normal (1, -1) has vertex determinant != +/-1"),
+        (
+            read_polytope(Path(__file__).parent / "fixtures" / "cube3.poly"),
+            "facet with normal (-1, 0, 0) is not a simplex",
+        ),
+    ]
+
+    @pytest.mark.parametrize("P, message", CASES)
+    @pytest.mark.parametrize("call", [facet_cones, polar_dual])
+    def test_message(self, P, message, call):
+        with pytest.raises(NotSmooth) as info:
+            call(P)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("P, message", CASES)
+    def test_is_smooth_stays_false(self, P, message):
+        assert is_smooth(P) is False
+        assert is_smooth(P) is False
 
 
 class TestPolarDual:

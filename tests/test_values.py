@@ -47,11 +47,11 @@ SAMPLES = {
     "Face": lambda: Face(1, (0, 1)),
     "FaceLattice": lambda: FaceLattice(((Face(0, (0,)), Face(0, (1,))), (Face(1, (0, 1)),))),
     "FanoPolytope": _p2,
-    "Cone": lambda: Cone((0, 1), 1, ((1, 0), (0, 1))),
+    "Cone": lambda: Cone((0, 1), ((1, 0), (0, 1))),
     "_Hull": lambda: _Hull((Halfspace((1, 0), 1),), (0b11,)),
     "IntPolynomial": lambda: IntPolynomial((1, 1, 1)),
     "ToricInvariants": lambda: ToricInvariants(
-        n=2, betti=(1, 1, 1), c_n=3, c1_cn1=9, f_vector=(3, 3, 1), edge_interior_total=6
+        n=2, betti=(1, 1, 1), c_n=3, c1_cn1=9, f_vector=(3, 3, 1)
     ),
     "IdentityReport": lambda: IdentityReport(n=2, lhs4=8, defect4=0),
     "HodgeDiamond": lambda: HodgeDiamond(2, ((1, 0, 1), (0, 20, 0), (1, 0, 1))),
