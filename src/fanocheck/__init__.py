@@ -53,9 +53,7 @@ _PUBLIC = {
         "LatticePoint",
         "edge_interior_points",
         "face_lattice",
-        "facet_cones",
         "facet_enumeration",
-        "facet_incidences",
         "is_reflexive",
         "is_smooth",
         "polar_dual",

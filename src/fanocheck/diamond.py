@@ -25,9 +25,8 @@ if TYPE_CHECKING:  # annotations only
 @lru_cache(maxsize=32)
 def _layout(n: int):
     """Slices of the row-major flattened (n+1) x (n+1) table: the even
-    antidiagonals p + q = 2k, the odd-degree half of each row, and the upper
-    diagonals q - p = d for d = 1..n, with the weights 2 d^2 that turn the
-    upper diagonal sums into the defect sum of a Hodge-symmetric table."""
+    antidiagonals p + q = 2k and the odd-degree half of each row; and per
+    entry of that table the weight (q - p)^2 of the scaled defect sum."""
     size = n + 1
     anti = []
     for s in range(0, 2 * n + 1, 2):
@@ -35,9 +34,8 @@ def _layout(n: int):
         start = first * n + s  # index of (p, s - p) is p * n + s
         anti.append(slice(start, start + n * (last - first) + 1, n or 1))
     odd_rows = tuple(slice(p * size + 1 - p % 2, (p + 1) * size, 2) for p in range(size))
-    upper = tuple(slice(d, d + (n + 2) * (n - d) + 1, n + 2) for d in range(1, size))
-    weights = tuple(2 * d * d for d in range(1, size))
-    return tuple(anti), odd_rows, upper, weights
+    weights = tuple((q - p) ** 2 for p in range(size) for q in range(size))
+    return tuple(anti), odd_rows, weights
 
 
 class HodgeDiamond(Value):
@@ -87,7 +85,7 @@ class HodgeDiamond(Value):
                 f"h[{p}][{q}] != h[{n - p}][{n - q}]", SerreDualityWarning, stacklevel=3
             )
 
-        anti, odd_rows, upper, weights = _layout(n)
+        anti, odd_rows, weights = _layout(n)
         at = flat.__getitem__
         odd = tuple(map(sum, map(at, odd_rows)))
         set_field(self, "_even_betti", tuple(map(sum, map(at, anti))))
@@ -95,7 +93,7 @@ class HodgeDiamond(Value):
         set_field(self, "_chi_p", tuple(map(sub, map(sub, map(sum, h), odd), odd)))
         # Entries are nonnegative, so a zero sum means every entry is zero.
         set_field(self, "_odd_vanishing", not any(odd))
-        set_field(self, "_defect4", sum(map(mul, weights, map(sum, map(at, upper)))))
+        set_field(self, "_defect4", sum(map(mul, flat, weights)))
 
     @classmethod
     def from_table(cls, rows) -> "HodgeDiamond":
@@ -140,10 +138,6 @@ class HodgeDiamond(Value):
     def even_betti(self) -> tuple[int, ...]:
         """h^{2k} = sum of h[p][q] over p + q = 2k, for k = 0..n."""
         return self._even_betti
-
-    def euler(self) -> int:
-        """sum of (-1)^{p+q} h[p][q], that is, the sum of the chi_p."""
-        return sum(self._chi_p)
 
 
 def chi_p(diamond: HodgeDiamond) -> tuple[int, ...]:

@@ -3,12 +3,14 @@
 Polytope files: '#' starts a comment line, the first data line is
 "n v" (dimension, vertex count), followed by v lines of n integers.
 Diamond files: a JSON object with integer field "n", row-major table "h",
-and optional integer Chern numbers "c1_cn1" and "c_n".
+and optional integer Chern numbers "c1_cn1" and "c_n"; no object in the
+file may name a field twice.
 """
 
 from __future__ import annotations
 
 from codecs import BOM_UTF8
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -157,16 +159,41 @@ def _bounded_ints(fields, what: str) -> tuple[int, ...]:
     return values
 
 
+def _unique_fields(pairs: list) -> dict:
+    """The object of a JSON object's (name, value) pairs; raises ParseError
+    on a name given twice, where json.loads would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise ParseError(f"field {name!r} is given more than once")
+            seen.add(name)
+    return obj
+
+
+@lru_cache(maxsize=None)
+def _decoder():
+    """The one JSON decoder of diamond files, built on the first diamond
+    (json.loads with a hook would build one on every call)."""
+    import json  # imported here, so that polytope files do not load it
+
+    return json.JSONDecoder(object_pairs_hook=_unique_fields)
+
+
 def loads_diamond(text: str) -> DiamondFile:
     """Parse diamond file contents.  Shape and type problems raise
     ParseError; table-consistency problems raise the constructor's errors."""
-    # Imported here, so that polytope files load neither.
-    import json
-
     from .diamond import HodgeDiamond
 
     try:
-        obj = json.loads(text)
+        if text.startswith("\ufeff"):
+            # A second mark, which decode_text keeps: refused as json.loads
+            # refuses it, a check that decode() does not make.
+            raise ValueError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+            )
+        obj = _decoder().decode(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers past the digit
         # limit of int(); RecursionError covers deeply nested arrays.
@@ -183,13 +210,13 @@ def loads_diamond(text: str) -> DiamondFile:
     if (
         not isinstance(rows, list)
         or len(rows) != n + 1
-        # json.loads makes no list subclass, so `type is list` is exact.
+        # The decoder makes no list subclass, so `type is list` is exact.
         or not {*map(type, rows)} <= {list}
         or not {*map(len, rows)} <= {n + 1}
     ):
         raise ParseError(f"'h' must be a {n + 1}x{n + 1} table")
     entries = [*chain.from_iterable(rows)]
-    # bool is the only int subclass json.loads makes, so `type is int` is exact.
+    # bool is the only int subclass the decoder makes, so `type is int` is exact.
     if not {*map(type, entries)} <= {int}:
         for x in entries:
             _require_int(x, "h")

@@ -190,27 +190,25 @@ def quarter_weighted_form(betti, c1_cn1: int, n: int) -> tuple[Fraction, Fractio
 
 
 def check_betti_chern(
-    diamond: HodgeDiamond, c1_cn1: int, c_n: int
+    diamond: HodgeDiamond, c1_cn1: int | None = None, c_n: int | None = None
 ) -> IdentityReport:
-    """Full identity report for a diamond with known Chern numbers.
+    """Identity report for a diamond, with its Chern numbers when known.
 
-    Requires vanishing odd cohomology.  equality <=> defect == 0 for
-    consistent inputs; chi_identity_ok records whether the chi-weighted sum
-    matches the Chern side (true for every actual variety), and
-    quarter_form_ok whether the original-normalization identity holds.
-    Each verdict compares the integer numerators over a common scale.
+    Requires vanishing odd cohomology.  Without both Chern numbers the
+    report holds lhs and the defect, with every rhs-dependent field None.
+    With them, equality <=> defect == 0 for consistent inputs;
+    chi_identity_ok records whether the chi-weighted sum matches the Chern
+    side (true for every actual variety), and quarter_form_ok whether the
+    original-normalization identity holds.  Each verdict compares the
+    integer numerators over a common scale.
     """
     if not diamond.is_odd_vanishing:
         raise HypothesisViolated(
             "diamond has nonzero odd cohomology; the inequality does not apply"
         )
+    if c1_cn1 is None or c_n is None:
+        return _report(diamond.even_betti(), diamond._defect4)
     return _report(diamond.even_betti(), diamond._defect4, c1_cn1, c_n, diamond._chi_p)
-
-
-def partial_report(diamond: HodgeDiamond) -> IdentityReport:
-    """The report of a diamond whose Chern numbers are not known: lhs and
-    the defect, with every rhs-dependent field None."""
-    return _report(diamond.even_betti(), diamond._defect4)
 
 
 def _report(

@@ -25,8 +25,6 @@ from .lattice import (
     _content,
     _dot,
     edge_interior_points,
-    facet_cones,
-    facet_incidences,
 )
 from .value import Value, set_field
 
@@ -177,7 +175,7 @@ def _fan_side(P: FanoPolytope, walls) -> tuple[tuple[int, ...], list[int]]:
     """
     n = P.dim
     verts = P.vertices
-    cones = facet_cones(P)
+    cones = P.cones
     columns = [list(zip(*c.inverse)) for c in cones]
     row_sums = [list(map(sum, c.inverse)) for c in cones]
     M = 1 + max(abs(a) for c in cones for row in c.inverse for a in row)
@@ -255,7 +253,7 @@ def toric_invariants(P: FanoPolytope, delta: FanoPolytope) -> tuple[ToricInvaria
     both sides by construction, so they are not compared.
     """
     n = P.dim
-    facets = facet_incidences(P)
+    facets = P.hull.incidences
     walls = _walls(facets)
     betti, degrees = _fan_side(P, walls)
     _check_betti(betti, n)

@@ -49,10 +49,7 @@ def _neg(u: LatticePoint) -> LatticePoint:
 
 def _content(u) -> int:
     """gcd of the coordinates (0 for the zero vector)."""
-    g = 0
-    for a in u:
-        g = gcd(g, a)
-    return g
+    return gcd(*u)
 
 
 def _adjugate(rows) -> tuple[int, list[list[int]]]:
@@ -347,12 +344,6 @@ def facet_enumeration(P: FanoPolytope) -> tuple[Halfspace, ...]:
     return P.hull.halfspaces
 
 
-def facet_incidences(P: FanoPolytope) -> tuple[int, ...]:
-    """Per facet, aligned with facet_enumeration, the int bitmask of the
-    vertices on it: bit i is set when vertex i lies on the facet."""
-    return P.hull.incidences
-
-
 def is_reflexive(P: FanoPolytope) -> bool:
     """True iff every facet lies at lattice distance 1 from the origin."""
     return all(h.offset == 1 for h in P.hull.halfspaces)
@@ -392,13 +383,6 @@ def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
     return delta
 
 
-def facet_cones(P: FanoPolytope) -> tuple[Cone, ...]:
-    """The maximal cones of the fan of a smooth P, aligned with
-    facet_enumeration; raises NotSmooth if some facet is not a unimodular
-    simplex."""
-    return P.cones
-
-
 def polar_dual(P: FanoPolytope) -> FanoPolytope:
     """The dual lattice polytope {m : <m, v> >= -1 for all vertices v of P}.
 
@@ -406,7 +390,7 @@ def polar_dual(P: FanoPolytope) -> FanoPolytope:
     it is then reflexive_dual(P), one vertex per facet of P.
     """
     delta = reflexive_dual(P)
-    facet_cones(P)
+    P.cones  # raises NotSmooth
     return delta
 
 

@@ -69,7 +69,6 @@ decode_text = _on_first_call("files", "decode_text")
 loads_diamond = _on_first_call("files", "loads_diamond")
 loads_polytope = _on_first_call("files", "loads_polytope")
 check_betti_chern = _on_first_call("identity", "check_betti_chern")
-partial_report = _on_first_call("identity", "partial_report")
 toric_identity_report = _on_first_call("identity", "toric_identity_report")
 toric_invariants = _on_first_call("invariants", "toric_invariants")
 polar_dual = _on_first_call("lattice", "polar_dual")
@@ -124,16 +123,16 @@ class ToricAnalysis(Value):
 # A batch checks each distinct file content once, so a repeat reaches this
 # cache only as the same vertices written in different bytes (another order
 # of the lines, a comment, other spacing), or from a library caller that
-# analyzes one polytope again.  A long run of distinct inputs evicts the
-# oldest analyses instead of growing.
-@lru_cache(maxsize=64)
+# analyzes one polytope again.  Each analysis keeps its polytope and dual
+# alive, hulls and per-facet inverses included, so only the last is kept.
+@lru_cache(maxsize=1)
 def analyze(P: FanoPolytope) -> ToricAnalysis:
     """Run the full pipeline on P; raises the hull's errors, NotReflexive or
     NotSmooth before any invariant is computed.
 
     The invariants come from the fan of P and the vertices of its dual;
     consistency records whether the two derivations agree.  The most recent
-    analyses are cached per polytope (everything involved is immutable).
+    analysis is cached (everything involved is immutable).
     """
     delta = polar_dual(P)  # raises every validation failure
     inv, consistent = toric_invariants(P, delta)
@@ -363,15 +362,13 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
             error="HypothesisViolated: diamond has nonzero odd cohomology",
             payload=payload,
         )
-    if data.c1_cn1 is None or data.c_n is None:
-        payload["identity"] = _report_dict(partial_report(diamond))
+    report = check_betti_chern(diamond, data.c1_cn1, data.c_n)
+    payload["identity"] = _report_dict(report)
+    if report.rhs12 is None:
         payload["note"] = "Chern numbers missing; rhs verifications skipped"
         return EntryReport(name, "diamond", CheckStatus.OK, payload=payload)
-
-    report = check_betti_chern(diamond, data.c1_cn1, data.c_n)
     payload["c_n"] = data.c_n
     payload["c1_cn1"] = data.c1_cn1
-    payload["identity"] = _report_dict(report)
     status = CheckStatus.OK if report.inequality_ok else CheckStatus.IDENTITY_VIOLATION
     return EntryReport(name, "diamond", status, payload=payload)
 

@@ -1,5 +1,6 @@
 """Polytope text files and diamond JSON files."""
 
+import json
 import random
 from pathlib import Path
 
@@ -219,6 +220,23 @@ class TestDiamondFiles:
     def test_non_object(self):
         with pytest.raises(ParseError):
             loads_diamond("[1, 2, 3]")
+
+    def test_field_named_twice(self):
+        # json.loads would keep the last c_n and check the table with it.
+        text = '{"n": 2, "h": [[1,0,0],[0,1,0],[0,0,1]], "c1_cn1": 9, "c_n": 3, "c_n": 4}'
+        with pytest.raises(ParseError, match=r"^field 'c_n' is given more than once$"):
+            loads_diamond(text)
+        with pytest.raises(ParseError, match=r"^field 'a' is given more than once$"):
+            loads_diamond('{"n": 0, "h": [[1]], "x": {"a": 1, "a": 1}}')
+
+    def test_byte_order_mark_left_by_decoding(self):
+        # A second mark survives decode_text; it is refused as json.loads
+        # refuses it.
+        with pytest.raises(ParseError) as info:
+            loads_diamond("\ufeff" + '{"n": 0, "h": [[1]]}')
+        with pytest.raises(ValueError) as reference:
+            json.loads("\ufeff{}")
+        assert str(info.value) == f"invalid JSON: {reference.value}"
 
     def test_integer_past_digit_limit(self):
         with pytest.raises(ParseError):

@@ -127,6 +127,20 @@ class TestCheckBettiChern:
         h[0][1] = h[1][0] = 2  # e.g. a genus-2 curve
         with pytest.raises(HypothesisViolated):
             check_betti_chern(HodgeDiamond.from_table(h), 0, -2)
+        with pytest.raises(HypothesisViolated):
+            check_betti_chern(HodgeDiamond.from_table(h))
+
+    @pytest.mark.parametrize("chern", [{}, {"c1_cn1": 0}, {"c_n": 24}])
+    def test_without_chern_numbers(self, chern):
+        # Without both Chern numbers the one report call gives lhs and the
+        # defect as it does with them, and None for every rhs field.
+        report = check_betti_chern(K3, **chern)
+        full = check_betti_chern(K3, 0, 24)
+        assert (report.lhs4, report.defect4) == (full.lhs4, full.defect4)
+        assert report.rhs12 is None and report.rhs is None
+        verdicts = ("equality", "inequality_ok", "chi_identity_ok", "quarter_form_ok")
+        assert [getattr(report, k) for k in verdicts] == [None] * 4
+        assert report.face_count_ok is None
 
 
 class TestChiIdentity:
@@ -234,7 +248,7 @@ class TestEqualityCriterion:
         for _ in range(200):
             d = random_symmetric_diamond(rng, max_n=6, max_entry=12)
             n = d.n
-            c_n = d.euler()
+            c_n = sum(chi_p(d))
             target = chi_weighted_sum(chi_p(d), n)
             c1_exact = 6 * target - Fraction(n, 2) * c_n
             if c1_exact.denominator != 1:

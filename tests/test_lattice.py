@@ -13,9 +13,7 @@ from fanocheck import (
     dim2_corpus,
     edge_interior_points,
     face_lattice,
-    facet_cones,
     facet_enumeration,
-    facet_incidences,
     gen_direct_sum,
     gen_pn,
     is_reflexive,
@@ -92,7 +90,7 @@ class TestFacetEnumeration:
 
     def test_facet_vertex_sets_have_codimension_one(self):
         for P in (P2, CROSS, gen_pn(3), gen_direct_sum(gen_pn(1), gen_pn(2))):
-            for inc in facet_incidences(P):
+            for inc in P.hull.incidences:
                 pts = [v for i, v in enumerate(P.vertices) if inc >> i & 1]
                 assert _affine_rank(pts) == P.dim - 1
 
@@ -185,7 +183,9 @@ class TestSmoothnessMessages:
     ]
 
     @pytest.mark.parametrize("P, message", CASES)
-    @pytest.mark.parametrize("call", [facet_cones, polar_dual])
+    @pytest.mark.parametrize(
+        "call", [lambda P: P.cones, polar_dual], ids=["cones", "polar_dual"]
+    )
     def test_message(self, P, message, call):
         with pytest.raises(NotSmooth) as info:
             call(P)
@@ -245,7 +245,7 @@ class TestPolarDual:
         polytopes += [P2, CROSS, gen_pn(4), gen_direct_sum(gen_pn(1), gen_pn(2))]
         for P in polytopes:
             delta = polar_dual(P)
-            for m, inc in zip(delta.vertices, facet_incidences(P)):
+            for m, inc in zip(delta.vertices, P.hull.incidences):
                 for i, v in enumerate(P.vertices):
                     value = sum(a * b for a, b in zip(m, v))
                     assert value >= -1

@@ -835,7 +835,7 @@ class TestAnalyzeCaching:
 
     def test_cache_is_bounded(self):
         # 70 distinct shears of P2, each a GL(2, Z) image: the cache keeps
-        # the latest 64 analyses, and the first polytope is not kept alive.
+        # the latest analysis only, and the first polytope is not kept alive.
         def image(k):
             return FanoPolytope.from_vertices([(1, 0), (k, 1), (-1 - k, -1)])
 
@@ -847,7 +847,7 @@ class TestAnalyzeCaching:
         for k in range(1, 70):
             assert check_polytope(image(k), "P2").passed
         gc.collect()
-        assert analyze.cache_info().currsize == 64
+        assert analyze.cache_info().currsize == 1
         assert ref() is None
 
     def test_invalid_polytope_is_not_kept(self):
