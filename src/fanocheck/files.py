@@ -186,17 +186,22 @@ def loads_diamond(text: str) -> DiamondFile:
     ParseError; table-consistency problems raise the constructor's errors."""
     from .diamond import HodgeDiamond
 
+    if text.startswith("\ufeff"):
+        # A second mark, which decode_text keeps: refused as json.loads
+        # refuses it, a check that decode() does not make.
+        raise ParseError(
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"
+        )
     try:
-        if text.startswith("\ufeff"):
-            # A second mark, which decode_text keeps: refused as json.loads
-            # refuses it, a check that decode() does not make.
-            raise ValueError(
-                "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
-            )
         obj = _decoder().decode(text)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and integers past the digit
-        # limit of int(); RecursionError covers deeply nested arrays.
+        # JSONDecodeError, a ValueError subclass, and RecursionError (deeply
+        # nested arrays) are invalid JSON.  A plain ValueError is int()
+        # refusing a number of more than 4300 digits for its length alone:
+        # past the bound, whatever its value.
+        if type(exc) is ValueError:
+            raise ParseError("integers must be below 10**4000 in absolute value") from None
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("diamond file must hold a JSON object")

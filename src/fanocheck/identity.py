@@ -96,13 +96,19 @@ class IdentityReport(Value):
         """(1/6) c_1 c_{n-1} + (n/12) c_n, exact; None without Chern numbers."""
         return None if self.rhs12 is None else _fraction(self.rhs12, 12)
 
-    def sides_text(self) -> dict[str, str | None]:
-        """lhs, defect and rhs as a report writes them: "p/q" in lowest
-        terms, or "p" when q is 1, as str() of the Fraction reads."""
+    def to_dict(self) -> dict:
+        """The report's identity fields: lhs, defect and rhs as "p/q" in
+        lowest terms, or "p" when q is 1, as str() of the Fraction reads;
+        then the verdicts, in the order a text report lists them."""
         return {
             "lhs": _ratio_text(self.lhs4, 4),
             "defect": _ratio_text(self.defect4, 4),
             "rhs": None if self.rhs12 is None else _ratio_text(self.rhs12, 12),
+            "equality": self.equality,
+            "inequality_ok": self.inequality_ok,
+            "chi_identity_ok": self.chi_identity_ok,
+            "quarter_form_ok": self.quarter_form_ok,
+            "face_count_ok": self.face_count_ok,
         }
 
 
@@ -194,7 +200,8 @@ def check_betti_chern(
 ) -> IdentityReport:
     """Identity report for a diamond, with its Chern numbers when known.
 
-    Requires vanishing odd cohomology.  Without both Chern numbers the
+    Raises HypothesisViolated, the package's one test of the hypothesis,
+    unless odd cohomology vanishes.  Without both Chern numbers the
     report holds lhs and the defect, with every rhs-dependent field None.
     With them, equality <=> defect == 0 for consistent inputs;
     chi_identity_ok records whether the chi-weighted sum matches the Chern
@@ -203,9 +210,7 @@ def check_betti_chern(
     integer numerators over a common scale.
     """
     if not diamond.is_odd_vanishing:
-        raise HypothesisViolated(
-            "diamond has nonzero odd cohomology; the inequality does not apply"
-        )
+        raise HypothesisViolated("diamond has nonzero odd cohomology")
     if c1_cn1 is None or c_n is None:
         return _report(diamond.even_betti(), diamond._defect4)
     return _report(diamond.even_betti(), diamond._defect4, c1_cn1, c_n, diamond._chi_p)

@@ -26,6 +26,7 @@ from _json import encode_basestring_ascii
 
 from .errors import (
     DegenerateInput,
+    HypothesisViolated,
     NotReflexive,
     NotSmooth,
     OriginNotInterior,
@@ -203,23 +204,6 @@ def dumps_json(value, _pad: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} has no place in a report")
 
 
-# The verdict fields of an IdentityReport, in the order text reports list them.
-_VERDICTS = (
-    "equality",
-    "inequality_ok",
-    "chi_identity_ok",
-    "quarter_form_ok",
-    "face_count_ok",
-)
-
-
-def _report_dict(report: IdentityReport) -> dict:
-    out = report.sides_text()
-    for key in _VERDICTS:
-        out[key] = getattr(report, key)
-    return out
-
-
 class EntryReport(Value):
     """Outcome of checking one input; mode is "toric" or "diamond", and
     payload is a new dict unless one is given.
@@ -278,7 +262,9 @@ class EntryReport(Value):
                 f"defect = {ident['defect']}"
             )
             verdicts = " ".join(
-                f"{k}={_yesno(ident[k])}" for k in _VERDICTS if ident[k] is not None
+                f"{k}={_yesno(v)}"
+                for k, v in ident.items()
+                if k not in ("lhs", "defect", "rhs") and v is not None
             )
             lines.append(f"verdicts: {verdicts}")
         if "consistency" in p:
@@ -324,31 +310,25 @@ def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
         )
 
     inv = analysis.invariants
+    identity = analysis.report.to_dict()
     payload.update(
         {
             "f_vector": list(inv.f_vector),
             "betti": list(inv.betti),
             "c_n": inv.c_n,
             "c1_cn1": inv.c1_cn1,
-            "identity": _report_dict(analysis.report),
+            "identity": identity,
             "consistency": dict(analysis.consistency),
         }
     )
-    rep = analysis.report
-    passed = (
-        bool(rep.equality)
-        and rep.inequality_ok
-        and rep.chi_identity_ok
-        and rep.quarter_form_ok
-        and rep.face_count_ok
-        and all(analysis.consistency.values())
-    )
+    passed = False not in identity.values() and all(analysis.consistency.values())
     status = CheckStatus.OK if passed else CheckStatus.IDENTITY_VIOLATION
     return EntryReport(name, "toric", status, payload=payload)
 
 
 def check_diamond(data: DiamondFile, name: str) -> EntryReport:
-    """Verify a user-supplied Hodge diamond.
+    """Verify a user-supplied Hodge diamond; one with odd cohomology is a
+    validation error, with the text check_betti_chern raises.
 
     A strict inequality is informational, not a failure; only lhs > rhs is a
     violation.  Without both Chern numbers only the defect side is computed.
@@ -356,14 +336,14 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
     diamond = data.diamond
     betti = diamond.even_betti()
     payload: dict = {"n": diamond.n, "betti": list(betti), "chi_p": list(chi_p(diamond))}
-    if not diamond.is_odd_vanishing:
+    try:
+        report = check_betti_chern(diamond, data.c1_cn1, data.c_n)
+    except HypothesisViolated as exc:
         return EntryReport(
             name, "diamond", CheckStatus.VALIDATION_ERROR,
-            error="HypothesisViolated: diamond has nonzero odd cohomology",
-            payload=payload,
+            error=f"{type(exc).__name__}: {exc}", payload=payload,
         )
-    report = check_betti_chern(diamond, data.c1_cn1, data.c_n)
-    payload["identity"] = _report_dict(report)
+    payload["identity"] = report.to_dict()
     if report.rhs12 is None:
         payload["note"] = "Chern numbers missing; rhs verifications skipped"
         return EntryReport(name, "diamond", CheckStatus.OK, payload=payload)

@@ -547,6 +547,25 @@ class TestStartup:
         assert {"polar_dual", "chi_p", "compute_invariants"} <= bound
         assert sorted(bound - called - traced) == []
 
+    def test_pipeline_names_no_verdict(self):
+        # IdentityReport writes its own verdicts, so no string in pipeline
+        # names one; identity tests the odd-cohomology hypothesis, so
+        # pipeline never reads it.
+        from fanocheck.identity import IdentityReport
+
+        verdicts = {
+            name for name in dir(IdentityReport) if name == "equality" or name.endswith("_ok")
+        }
+        assert len(verdicts) == 5
+        tree = ast.parse((SRC / "fanocheck" / "pipeline.py").read_text())
+        strings = {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert sorted(strings & verdicts) == []
+        assert "is_odd_vanishing" not in attributes
+
     def test_wrappers_set_before_a_check_are_kept(self):
         code = f"""
 import json

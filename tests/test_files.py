@@ -242,6 +242,22 @@ class TestDiamondFiles:
         with pytest.raises(ParseError):
             loads_diamond(HUGE_INT_DIAMOND)
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_integer_past_digit_limit_is_the_bound(self, sign):
+        # A number int() refuses for its length is valid JSON, past the
+        # bound, not a decoding failure.
+        huge = sign + "9" * 4301
+        texts = [
+            '{"n": 1, "h": [[1, 0], [0, ' + huge + "]]}",
+            '{"n": 1, "h": [[1, 0], [0, 1]], "c1_cn1": 1, "c_n": ' + huge + "}",
+        ]
+        for text in texts:
+            with pytest.raises(
+                ParseError, match=r"^integers must be below 10\*\*4000 in absolute value$"
+            ) as info:
+                loads_diamond(text)
+            assert info.value.__cause__ is None
+
     def test_deep_nesting(self):
         with pytest.raises(ParseError):
             loads_diamond(DEEP_DIAMOND)

@@ -41,7 +41,6 @@ from fanocheck.errors import (
     ParseError,
     ValidationError,
 )
-from fanocheck.pipeline import _report_dict
 
 from conftest import random_symmetric_diamond
 from test_golden import FIXTURES, GOLDEN, ROOT, _generated_polytopes
@@ -456,7 +455,11 @@ class TestIdentityReportNumerators:
     def test_text_and_fractions_match_the_numerators(self, n, lhs4, defect4, rhs12):
         report = IdentityReport(n=n, lhs4=lhs4, defect4=defect4, rhs12=rhs12)
         sides = {"lhs": (lhs4, 4), "defect": (defect4, 4), "rhs": (rhs12, 12)}
-        written = _report_dict(report)
+        written = report.to_dict()
+        assert list(written) == [
+            "lhs", "defect", "rhs",
+            "equality", "inequality_ok", "chi_identity_ok", "quarter_form_ok", "face_count_ok",
+        ]
         for name, (num, scale) in sides.items():
             got = getattr(report, name)
             if num is None:

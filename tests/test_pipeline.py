@@ -26,7 +26,14 @@ from fanocheck import (
     run_check,
 )
 from fanocheck import pipeline
-from fanocheck.errors import ConsistencyError, NegativeCoefficient, SerreDualityWarning
+from fanocheck.errors import (
+    ConsistencyError,
+    HypothesisViolated,
+    NegativeCoefficient,
+    SerreDualityWarning,
+)
+from fanocheck.files import read_diamond
+from fanocheck.identity import check_betti_chern
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
 
 from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond, run_cli
@@ -238,6 +245,17 @@ class TestRunCheckDiamond:
         entry = run_check(FIXTURES / "genus2_curve.json")
         assert entry.status is CheckStatus.VALIDATION_ERROR
         assert "HypothesisViolated" in entry.error
+
+    def test_odd_cohomology_has_one_text(self):
+        # The entry's error is what check_betti_chern raises on the same
+        # diamond, with or without its Chern numbers.
+        data = read_diamond(FIXTURES / "genus2_curve.json")
+        entry = run_check(FIXTURES / "genus2_curve.json")
+        assert sorted(entry.payload) == ["betti", "chi_p", "n"]
+        for chern in ((data.c1_cn1, data.c_n), ()):
+            with pytest.raises(HypothesisViolated) as info:
+                check_betti_chern(data.diamond, *chern)
+            assert entry.error == f"HypothesisViolated: {info.value}"
 
     def test_missing_chern_numbers_restrict_checks(self):
         entry = run_check(FIXTURES / "k3_no_chern.json")
