@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .errors import InvalidDimension, NotReflexive, NotSmooth
-from .lattice import FanoPolytope, is_reflexive, is_smooth
+from .errors import InvalidDimension
+from .lattice import FanoPolytope, polar_dual
 from .value import Value, set_field
 
 
@@ -45,12 +45,10 @@ def gen_pn(n: int) -> FanoPolytope:
 
 def gen_direct_sum(P: FanoPolytope, Q: FanoPolytope) -> FanoPolytope:
     """Fano polytope of the product variety: vertices of P and Q padded with
-    zeros into dimension dim(P) + dim(Q).  Its dual is the product of duals."""
+    zeros into dimension dim(P) + dim(Q).  Its dual is the product of duals.
+    Raises what polar_dual raises on the first summand it refuses."""
     for part in (P, Q):
-        if not is_reflexive(part):
-            raise NotReflexive("direct sum requires reflexive summands")
-        if not is_smooth(part):
-            raise NotSmooth("direct sum requires smooth summands")
+        polar_dual(part)
     zeros_q = (0,) * Q.dim
     zeros_p = (0,) * P.dim
     vertices = [v + zeros_q for v in P.vertices] + [zeros_p + w for w in Q.vertices]

@@ -258,7 +258,7 @@ class EntryReport(Value):
         if "identity" in p:
             ident = p["identity"]
             lines.append(
-                f"identity: lhs = {ident['lhs']}, rhs = {ident['rhs']}, "
+                f"identity: lhs = {ident['lhs']}, rhs = {ident['rhs'] or 'n/a'}, "
                 f"defect = {ident['defect']}"
             )
             verdicts = " ".join(
@@ -266,7 +266,10 @@ class EntryReport(Value):
                 for k, v in ident.items()
                 if k not in ("lhs", "defect", "rhs") and v is not None
             )
-            lines.append(f"verdicts: {verdicts}")
+            if verdicts:
+                lines.append(f"verdicts: {verdicts}")
+        if "note" in p:
+            lines.append(f"note: {p['note']}")
         if "consistency" in p:
             lines.append(
                 "consistency: "
@@ -282,6 +285,25 @@ def _yesno(v) -> str:
     return {True: "yes", False: "NO", None: "n/a"}[v]
 
 
+def _refused(name: str, mode: str, exc: Exception, payload: dict | None = None) -> EntryReport:
+    """The entry of an input that exc stopped, its error in exc's own words.
+
+    A ParseError or ValidationError is a problem with the input; any other
+    exception is a fault of the program, logged and reported as an
+    internal error.
+    """
+    if isinstance(exc, ParseError):
+        status = CheckStatus.PARSE_ERROR
+    elif isinstance(exc, ValidationError):
+        status = CheckStatus.VALIDATION_ERROR
+    else:
+        import logging  # imported here, so that starting up does not load it
+
+        logging.getLogger(__name__).exception("internal error while checking %s", name)
+        status = CheckStatus.INTERNAL_ERROR
+    return EntryReport(name, mode, status, f"{type(exc).__name__}: {exc}", payload)
+
+
 def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
     """Validate and fully verify one N-side polytope.
 
@@ -290,24 +312,19 @@ def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
     """
     valid = {"primitive": True, "spanning": True, "reflexive": True, "smooth": True}
     payload: dict = {"n": P.dim, "vertex_count": len(P.vertices), "valid": valid}
-    error = None
     try:
         analysis = analyze(P)
     except (DegenerateInput, OriginNotInterior, RedundantVertex) as exc:
         # only a non-spanning input fails before the span check passes
         spanning = not isinstance(exc, DegenerateInput)
         valid.update(spanning=spanning, reflexive=None, smooth=None)
-        error = f"{type(exc).__name__}: {exc}"
-    except NotReflexive:
+        return _refused(name, "toric", exc, payload)
+    except NotReflexive as exc:
         valid.update(reflexive=False, smooth=None)
-        error = "NotReflexive: a facet lies at lattice distance != 1"
-    except NotSmooth:
+        return _refused(name, "toric", exc, payload)
+    except NotSmooth as exc:
         valid["smooth"] = False
-        error = "NotSmooth: a facet is not a unimodular simplex"
-    if error:
-        return EntryReport(
-            name, "toric", CheckStatus.VALIDATION_ERROR, error=error, payload=payload
-        )
+        return _refused(name, "toric", exc, payload)
 
     inv = analysis.invariants
     identity = analysis.report.to_dict()
@@ -339,10 +356,7 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
     try:
         report = check_betti_chern(diamond, data.c1_cn1, data.c_n)
     except HypothesisViolated as exc:
-        return EntryReport(
-            name, "diamond", CheckStatus.VALIDATION_ERROR,
-            error=f"{type(exc).__name__}: {exc}", payload=payload,
-        )
+        return _refused(name, "diamond", exc, payload)
     payload["identity"] = report.to_dict()
     if report.rhs12 is None:
         payload["note"] = "Chern numbers missing; rhs verifications skipped"
@@ -370,11 +384,6 @@ def _read(path) -> bytes:
     finally:
         os.close(fd)
     return b"".join(chunks)
-
-
-def _unreadable(name: str, exc: Exception, mode: str = "toric") -> EntryReport:
-    """The entry of a path that cannot be read or listed, or is not read."""
-    return EntryReport(name, mode, CheckStatus.PARSE_ERROR, error=f"ParseError: {exc}")
 
 
 def _is_special(entry: os.DirEntry) -> bool:
@@ -405,7 +414,7 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     try:
         data = _read(path)
     except OSError as exc:
-        return _unreadable(name, exc, "diamond" if mode == "diamond" else "toric")
+        return _refused(name, "diamond" if mode == "diamond" else "toric", ParseError(exc))
     return _check_data(data, name, dual, mode)
 
 
@@ -424,16 +433,8 @@ def _check_data(data: bytes, name: str, dual: bool = False, mode: str = "auto") 
         if dual:
             P = reflexive_dual(P)
         return check_polytope(P, name)
-    except ParseError as exc:
-        status, error = CheckStatus.PARSE_ERROR, f"ParseError: {exc}"
-    except ValidationError as exc:
-        status, error = CheckStatus.VALIDATION_ERROR, f"{type(exc).__name__}: {exc}"
-    except Exception as exc:  # a fault of the program, not of the input
-        import logging  # imported here, so that starting up does not load it
-
-        logging.getLogger(__name__).exception("internal error while checking %s", name)
-        status, error = CheckStatus.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
-    return EntryReport(name, "diamond" if is_diamond else "toric", status, error=error)
+    except Exception as exc:
+        return _refused(name, "diamond" if is_diamond else "toric", exc)
 
 
 class RunReport(Value):
@@ -523,7 +524,7 @@ def run_batch(paths) -> RunReport:
         try:
             data = _read(path)
         except OSError as exc:
-            return _unreadable(path, exc)
+            return _refused(path, "toric", ParseError(exc))
         entry = checked.get(data)
         if entry is not None:
             return EntryReport(path, entry.mode, entry.status, entry.error, entry.payload)
@@ -547,10 +548,10 @@ def run_batch(paths) -> RunReport:
                     if e.name.endswith((".poly", ".json")) and len(e.name) > 5:
                         (special if _is_special(e) else files).append(prefix + e.name)
         except OSError as exc:
-            entries.append(_unreadable(p, exc))
+            entries.append(_refused(p, "toric", ParseError(exc)))
             continue
         entries.extend(map(check, files))
         for path in special:
-            entries.append(_unreadable(path, ParseError(f"not a regular file: {path!r}")))
+            entries.append(_refused(path, "toric", ParseError(f"not a regular file: {path!r}")))
     entries.sort(key=lambda e: e.name)
     return RunReport(tuple(entries))

@@ -17,6 +17,7 @@ import pytest
 import fanocheck
 from fanocheck import run_batch
 from fanocheck.cli import main
+from fanocheck.errors import NotSmooth
 
 from conftest import run_cli
 
@@ -192,6 +193,10 @@ class TestGenerators:
         assert result.exit_code != 0
         assert result.exit_code == 1
         assert result.stderr.startswith("Error: ")
+        with pytest.raises(NotSmooth) as info:
+            fanocheck.polar_dual(fanocheck.read_polytope(FIXTURES / "singular_dp.poly"))
+        assert str(info.value) == "facet with normal (1, -1) has vertex determinant != +/-1"
+        assert result.stderr == f"Error: {info.value}\n"
         assert not out.exists()
 
     def test_corpus_dim2(self, tmp_path):
@@ -565,6 +570,28 @@ class TestStartup:
         attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert sorted(strings & verdicts) == []
         assert "is_odd_vanishing" not in attributes
+
+    def test_pipeline_refuses_in_one_place(self):
+        # Only _refused decides a refused entry's status and writes its
+        # error, in the words of the exception that stopped it.
+        tree = ast.parse((SRC / "fanocheck" / "pipeline.py").read_text())
+        found = []
+        for top in tree.body:
+            if getattr(top, "name", None) in ("_refused", "CheckStatus"):
+                continue
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("PARSE_ERROR", "VALIDATION_ERROR")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "CheckStatus"
+                ):
+                    found.append(ast.unparse(node))
+                if isinstance(node, ast.FormattedValue) and ast.unparse(node.value) == (
+                    "type(exc).__name__"
+                ):
+                    found.append(ast.unparse(node.value))
+        assert found == []
 
     def test_wrappers_set_before_a_check_are_kept(self):
         code = f"""

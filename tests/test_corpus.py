@@ -73,11 +73,17 @@ class TestDirectSum:
 
     def test_rejects_bad_summands(self):
         singular = FanoPolytope(2, ((1, 0), (0, 1), (-1, -2)))
-        with pytest.raises(NotSmooth):
+        with pytest.raises(NotSmooth) as info:
             gen_direct_sum(singular, gen_pn(1))
+        with pytest.raises(NotSmooth) as dual_info:
+            polar_dual(singular)
+        assert str(info.value) == str(dual_info.value)
         skew = FanoPolytope(2, ((1, 0), (0, 1), (-1, -3)))
-        with pytest.raises(NotReflexive):
+        with pytest.raises(NotReflexive) as info:
             gen_direct_sum(gen_pn(1), skew)
+        with pytest.raises(NotReflexive) as dual_info:
+            polar_dual(skew)
+        assert str(info.value) == str(dual_info.value)
 
 
 class TestDim2Corpus:

@@ -28,12 +28,18 @@ from fanocheck import (
 from fanocheck import pipeline
 from fanocheck.errors import (
     ConsistencyError,
+    DegenerateInput,
     HypothesisViolated,
     NegativeCoefficient,
+    NotReflexive,
+    NotSmooth,
+    OriginNotInterior,
+    RedundantVertex,
     SerreDualityWarning,
 )
-from fanocheck.files import read_diamond
+from fanocheck.files import loads_polytope, read_diamond
 from fanocheck.identity import check_betti_chern
+from fanocheck.lattice import reflexive_dual
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
 
 from conftest import DEEP_DIAMOND, HUGE_INT_DIAMOND, corner_diamond, run_cli
@@ -164,12 +170,12 @@ class TestRunCheckToric:
             (
                 [(1, 0), (0, 1), (-1, -3)],
                 (True, False, None),
-                "NotReflexive: a facet lies at lattice distance != 1",
+                "NotReflexive: a facet lies at lattice distance != 1 from the origin",
             ),
             (
                 [(1, 0), (0, 1), (-1, -2)],
                 (True, True, False),
-                "NotSmooth: a facet is not a unimodular simplex",
+                "NotSmooth: facet with normal (1, -1) has vertex determinant != +/-1",
             ),
         ],
     )
@@ -184,6 +190,44 @@ class TestRunCheckToric:
                 zip(("primitive", "spanning", "reflexive", "smooth"), (True, *valid))
             ),
         }
+
+    @pytest.mark.parametrize(
+        "source, dual, refusal, valid",
+        [
+            ([(1, 0), (-1, 0)], False, DegenerateInput, (False, None, None)),
+            ([(1, 0), (0, 1), (1, 1)], False, OriginNotInterior, (True, None, None)),
+            ([(-1, -1), (2, -1), (-1, 2), (0, 1)], False, RedundantVertex, (True, None, None)),
+            ("not_reflexive.poly", False, NotReflexive, (True, False, None)),
+            # reflexive_dual refuses the file before any flag exists
+            ("not_reflexive.poly", True, NotReflexive, None),
+            ("singular_dp.poly", False, NotSmooth, (True, True, False)),
+            ("singular_dp.poly", True, NotSmooth, (True, True, False)),
+            ("cube3.poly", False, NotSmooth, (True, True, False)),
+            ("p2.poly", True, NotSmooth, (True, True, False)),
+            ("p1xp2.poly", True, NotSmooth, (True, True, False)),
+            ("p3.poly", True, NotSmooth, (True, True, False)),
+        ],
+    )
+    def test_one_text_per_refusal(self, tmp_path, source, dual, refusal, valid):
+        # The entry's error is what analyze (or, with dual, reflexive_dual)
+        # raises on the same polytope, in its own words.
+        if isinstance(source, str):
+            path = FIXTURES / source
+        else:
+            path = tmp_path / "P.poly"
+            path.write_text(dumps_polytope(FanoPolytope.from_vertices(source)))
+        P = loads_polytope(path.read_text())
+        with pytest.raises(refusal) as info:
+            analyze(reflexive_dual(P) if dual else P)
+        entry = run_check(path, dual=dual)
+        assert entry.status is CheckStatus.VALIDATION_ERROR
+        assert entry.error == f"{type(info.value).__name__}: {info.value}"
+        flags = ("primitive", "spanning", "reflexive", "smooth")
+        assert entry.payload.get("valid") == (valid and dict(zip(flags, (True, *valid))))
+
+    def test_not_reflexive_reads_alike_with_dual(self):
+        path = FIXTURES / "not_reflexive.poly"
+        assert run_check(path).error == run_check(path, dual=True).error
 
     def test_dp6_cubed(self, tmp_path):
         # The dual has 216 vertices in dimension 6; a facet scan of it
@@ -265,6 +309,19 @@ class TestRunCheckDiamond:
         assert ident["rhs"] is None
         assert ident["equality"] is None
         assert "note" in entry.payload
+
+    def test_missing_chern_numbers_text(self):
+        # The missing side reads n/a, as a missing verdict does; with no
+        # verdict known there is no verdicts line, and the note is shown.
+        text = run_check(FIXTURES / "k3_no_chern.json").to_text()
+        assert text == (
+            f"== {FIXTURES / 'k3_no_chern.json'} (diamond) ==\n"
+            "dimension: 2\n"
+            "betti: (1, 22, 1)\n"
+            "identity: lhs = 2, rhs = n/a, defect = 2\n"
+            "note: Chern numbers missing; rhs verifications skipped\n"
+            "status: ok"
+        )
 
     def test_non_utf8_is_parse_error(self, tmp_path):
         path = tmp_path / "nonutf8.json"
