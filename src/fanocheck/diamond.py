@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 from itertools import chain
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import InvalidBetti, InvalidDiamond, SerreDualityWarning
 from .value import Value, set_field
@@ -25,8 +25,9 @@ if TYPE_CHECKING:  # annotations only
 @lru_cache(maxsize=32)
 def _layout(n: int):
     """Slices of the row-major flattened (n+1) x (n+1) table: the even
-    antidiagonals p + q = 2k and the odd-degree half of each row; and per
-    entry of that table the weight (q - p)^2 of the scaled defect sum."""
+    antidiagonals p + q = 2k and the odd-degree half of each row; per entry
+    the weight (q - p)^2 of the scaled defect sum; and, for n > 0, getters
+    of the transposed table and of the entries of odd degree."""
     size = n + 1
     anti = []
     for s in range(0, 2 * n + 1, 2):
@@ -35,19 +36,60 @@ def _layout(n: int):
         anti.append(slice(start, start + n * (last - first) + 1, n or 1))
     odd_rows = tuple(slice(p * size + 1 - p % 2, (p + 1) * size, 2) for p in range(size))
     weights = tuple((q - p) ** 2 for p in range(size) for q in range(size))
-    return tuple(anti), odd_rows, weights
+    if not n:
+        return tuple(anti), odd_rows, weights, None, None
+    transpose = itemgetter(*(q * size + p for p in range(size) for q in range(size)))
+    odd = itemgetter(*(i for i in range(size * size) if sum(divmod(i, size)) % 2))
+    return tuple(anti), odd_rows, weights, transpose, odd
+
+
+def _table(h, flat: tuple, low, stacklevel: int) -> tuple:
+    """Check the square table h, flattened row by row to flat, with least
+    entry low; warn stacklevel frames up if it is not Serre dual.  Returns
+    the even Betti numbers, chi_p, whether odd cohomology vanishes and 4 *
+    the defect.  Whole-table tests come first; loops only locate a failure."""
+    n = len(h) - 1
+    if low < 0:
+        raise InvalidDiamond("Hodge numbers must be nonnegative")
+    if flat[0] != 1:
+        raise InvalidDiamond(f"h[0][0] must be 1, got {flat[0]}")
+    anti, odd_rows, weights, transpose, odd_entries = _layout(n)
+    if n and transpose(flat) != flat:
+        for p in range(n + 1):
+            for q in range(p + 1, n + 1):
+                if h[p][q] != h[q][p]:
+                    raise InvalidDiamond(
+                        f"Hodge symmetry broken: h[{p}][{q}]={h[p][q]} "
+                        f"but h[{q}][{p}]={h[q][p]}"
+                    )
+    # (n - p, n - q) sits at the mirror index of (p, q) in the flat table.
+    if flat != flat[::-1]:
+        i = next(i for i, x in enumerate(flat) if x != flat[-1 - i])
+        p, q = divmod(i, n + 1)
+        warnings.warn(
+            f"h[{p}][{q}] != h[{n - p}][{n - q}]", SerreDualityWarning, stacklevel=stacklevel
+        )
+    at = flat.__getitem__
+    odd_vanishing = not (n and any(odd_entries(flat)))
+    if odd_vanishing:
+        chi = tuple(map(sum, h))
+    else:
+        # chi_p is the row's sum with its odd-degree part taken off twice.
+        odd = tuple(map(sum, map(at, odd_rows)))
+        chi = tuple(map(sub, map(sub, map(sum, h), odd), odd))
+    return tuple(map(sum, map(at, anti))), chi, odd_vanishing, sum(map(mul, flat, weights))
 
 
 class HodgeDiamond(Value):
     """Hodge number table h[p][q], 0 <= p, q <= n.
 
     The even Betti numbers, chi_p, odd vanishing and the defect numerator
-    are computed once, in the constructor, from the validated table; only
-    n and h are compared, hashed and shown.
+    are the sums _table returns; only n and h are compared, hashed and shown.
     """
 
     _fields = ("n", "h")
-    __slots__ = (*_fields, "_even_betti", "_chi_p", "_odd_vanishing", "_defect4")
+    _derived = ("_even_betti", "_chi_p", "_odd_vanishing", "_defect4")
+    __slots__ = (*_fields, *_derived)
 
     def __init__(self, n: int, h: tuple[tuple[int, ...], ...]):
         set_field(self, "n", n)
@@ -62,38 +104,14 @@ class HodgeDiamond(Value):
             raise InvalidDiamond(f"dimension must be >= 0, got {n}")
         if len(h) != size or {*map(len, h)} != {size}:
             raise InvalidDiamond(f"table must be {size}x{size}")
-        # Flattened once, for the sign and Serre tests and for every sum.
         flat = tuple(chain.from_iterable(h))
-        if min(flat) < 0:
-            raise InvalidDiamond("Hodge numbers must be nonnegative")
-        if h[0][0] != 1:
-            raise InvalidDiamond(f"h[0][0] must be 1, got {h[0][0]}")
-        # Whole-table tests first; the loops only locate the first failure.
-        if tuple(zip(*h)) != h:
-            for p in range(size):
-                for q in range(p + 1, size):
-                    if h[p][q] != h[q][p]:
-                        raise InvalidDiamond(
-                            f"Hodge symmetry broken: h[{p}][{q}]={h[p][q]} "
-                            f"but h[{q}][{p}]={h[q][p]}"
-                        )
-        # (n - p, n - q) sits at the mirror index of (p, q) in the flat table.
-        if flat != flat[::-1]:
-            i = next(i for i, x in enumerate(flat) if x != flat[-1 - i])
-            p, q = divmod(i, size)
-            warnings.warn(
-                f"h[{p}][{q}] != h[{n - p}][{n - q}]", SerreDualityWarning, stacklevel=3
-            )
+        # warned at the caller of the constructor
+        for name, value in zip(self._derived, _table(h, flat, min(flat), 4)):
+            set_field(self, name, value)
 
-        anti, odd_rows, weights = _layout(n)
-        at = flat.__getitem__
-        odd = tuple(map(sum, map(at, odd_rows)))
-        set_field(self, "_even_betti", tuple(map(sum, map(at, anti))))
-        # chi_p is the row's sum with its odd-degree part taken off twice.
-        set_field(self, "_chi_p", tuple(map(sub, map(sub, map(sum, h), odd), odd)))
-        # Entries are nonnegative, so a zero sum means every entry is zero.
-        set_field(self, "_odd_vanishing", not any(odd))
-        set_field(self, "_defect4", sum(map(mul, flat, weights)))
+    def _sums(self) -> tuple:
+        """What _table returned for the table, in its order."""
+        return tuple(map(self.__getattribute__, self._derived))
 
     @classmethod
     def from_table(cls, rows) -> "HodgeDiamond":

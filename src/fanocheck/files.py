@@ -173,19 +173,21 @@ def _unique_fields(pairs: list) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _decoder():
-    """The one JSON decoder of diamond files, built on the first diamond
-    (json.loads with a hook would build one on every call)."""
+def _diamond_modules():
+    """The decode method of the one JSON decoder of diamond files, and the
+    diamond module, both loaded on the first diamond: json.loads with a hook
+    would build a decoder on every call."""
     import json  # imported here, so that polytope files do not load it
 
-    return json.JSONDecoder(object_pairs_hook=_unique_fields)
+    from . import diamond
+
+    return json.JSONDecoder(object_pairs_hook=_unique_fields).decode, diamond
 
 
-def loads_diamond(text: str) -> DiamondFile:
-    """Parse diamond file contents.  Shape and type problems raise
-    ParseError; table-consistency problems raise the constructor's errors."""
-    from .diamond import HodgeDiamond
-
+def _diamond_fields(text: str) -> tuple:
+    """The fields of diamond file contents: n, the rows of 'h' as lists and
+    their entries flattened, the least entry, and c1_cn1 and c_n (None when
+    not given).  Shape, type and bound problems raise ParseError."""
     if text.startswith("\ufeff"):
         # A second mark, which decode_text keeps: refused as json.loads
         # refuses it, a check that decode() does not make.
@@ -193,8 +195,9 @@ def loads_diamond(text: str) -> DiamondFile:
             "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
             "line 1 column 1 (char 0)"
         )
+    decode, _ = _diamond_modules()
     try:
-        obj = _decoder().decode(text)
+        obj = decode(text)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, a ValueError subclass, and RecursionError (deeply
         # nested arrays) are invalid JSON.  A plain ValueError is int()
@@ -208,6 +211,7 @@ def loads_diamond(text: str) -> DiamondFile:
     if "n" not in obj or "h" not in obj:
         raise ParseError("diamond file needs fields 'n' and 'h'")
     n = _require_int(obj["n"], "n")
+    _require_bounded(n, n, "field 'n'")
     if n < 0:
         # as the constructor says it; no table has a negative size
         raise InvalidDiamond(f"dimension must be >= 0, got {n}")
@@ -220,19 +224,37 @@ def loads_diamond(text: str) -> DiamondFile:
         or not {*map(len, rows)} <= {n + 1}
     ):
         raise ParseError(f"'h' must be a {n + 1}x{n + 1} table")
-    entries = [*chain.from_iterable(rows)]
+    # Flattened once, for the type, bound and sign tests and for every sum.
+    flat = (*chain.from_iterable(rows),)
     # bool is the only int subclass the decoder makes, so `type is int` is exact.
-    if not {*map(type, entries)} <= {int}:
-        for x in entries:
+    if not {*map(type, flat)} <= {int}:
+        for x in flat:
             _require_int(x, "h")
-    if entries:
-        _require_bounded(min(entries), max(entries), "field 'h'")
-    chern = {}
+    low = min(flat)
+    _require_bounded(low, max(flat), "field 'h'")
     for name in ("c1_cn1", "c_n"):
         if name in obj:
-            value = chern[name] = _require_int(obj[name], name)
+            value = _require_int(obj[name], name)
             _require_bounded(value, value, f"field {name!r}")
-    return DiamondFile(HodgeDiamond(n, tuple(map(tuple, rows))), **chern)
+    return n, rows, flat, low, obj.get("c1_cn1"), obj.get("c_n")
+
+
+def diamond_integers(text: str) -> tuple:
+    """n, c1_cn1, c_n and the sums that diamond._table returns, for diamond
+    file contents; table-consistency problems raise InvalidDiamond."""
+    n, rows, flat, low, c1_cn1, c_n = _diamond_fields(text)
+    _, diamond = _diamond_modules()
+    # warned here, whatever the caller, so that a text is shown once
+    return n, c1_cn1, c_n, diamond._table(rows, flat, low, 2)
+
+
+def loads_diamond(text: str) -> DiamondFile:
+    """Parse diamond file contents.  Shape and type problems raise
+    ParseError; table-consistency problems raise the constructor's errors."""
+    from .diamond import HodgeDiamond
+
+    n, rows, _, _, c1_cn1, c_n = _diamond_fields(text)
+    return DiamondFile(HodgeDiamond(n, tuple(map(tuple, rows))), c1_cn1, c_n)
 
 
 def dumps_diamond(

@@ -38,7 +38,7 @@ class IdentityReport(Value):
 
     The sides are the kernels' integer numerators: lhs4 and defect4 over 4,
     rhs12 over 12.  lhs, defect and rhs are the exact Fractions, and
-    equality and inequality_ok compare lhs4 and rhs12, when read.
+    equality and inequality_ok are read from to_dict(), when read.
     rhs-dependent fields are None when the Chern numbers needed to compute
     them were not supplied; face_count_ok is only filled in toric mode.
     """
@@ -74,12 +74,12 @@ class IdentityReport(Value):
     @property
     def equality(self) -> bool | None:
         """lhs == rhs; None without Chern numbers."""
-        return None if self.rhs12 is None else 3 * self.lhs4 == self.rhs12
+        return self.to_dict()["equality"]
 
     @property
     def inequality_ok(self) -> bool | None:
         """lhs <= rhs; None without Chern numbers."""
-        return None if self.rhs12 is None else 3 * self.lhs4 <= self.rhs12
+        return self.to_dict()["inequality_ok"]
 
     @property
     def lhs(self) -> Fraction:
@@ -97,19 +97,29 @@ class IdentityReport(Value):
         return None if self.rhs12 is None else _fraction(self.rhs12, 12)
 
     def to_dict(self) -> dict:
-        """The report's identity fields: lhs, defect and rhs as "p/q" in
-        lowest terms, or "p" when q is 1, as str() of the Fraction reads;
-        then the verdicts, in the order a text report lists them."""
-        return {
-            "lhs": _ratio_text(self.lhs4, 4),
-            "defect": _ratio_text(self.defect4, 4),
-            "rhs": None if self.rhs12 is None else _ratio_text(self.rhs12, 12),
-            "equality": self.equality,
-            "inequality_ok": self.inequality_ok,
-            "chi_identity_ok": self.chi_identity_ok,
-            "quarter_form_ok": self.quarter_form_ok,
-            "face_count_ok": self.face_count_ok,
-        }
+        """The report's identity fields, as _identity_fields writes them."""
+        return _identity_fields(*self._key())
+
+
+def _identity_fields(n, lhs4, defect4, rhs12, chi_identity_ok, quarter_form_ok, face_count_ok):
+    """The identity fields of the report with these fields: lhs, defect
+    and rhs as "p/q" in lowest terms, or "p" when q is 1, as str() of the
+    Fraction reads; then the verdicts, in the order a text report lists
+    them.  Only here do equality and inequality_ok compare lhs4 and rhs12."""
+    if rhs12 is None:
+        rhs = equality = inequality_ok = None
+    else:
+        rhs, equality, inequality_ok = _ratio_text(rhs12, 12), 3 * lhs4 == rhs12, 3 * lhs4 <= rhs12
+    return {
+        "lhs": _ratio_text(lhs4, 4),
+        "defect": _ratio_text(defect4, 4),
+        "rhs": rhs,
+        "equality": equality,
+        "inequality_ok": inequality_ok,
+        "chi_identity_ok": chi_identity_ok,
+        "quarter_form_ok": quarter_form_ok,
+        "face_count_ok": face_count_ok,
+    }
 
 
 def _fraction(num: int, scale: int) -> Fraction:
@@ -136,10 +146,15 @@ def _weights(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _weighted_sum4(values, n: int) -> int:
-    """4 * sum_k values[k] * (k - n/2)^2, an integer."""
+def _length(values, n: int):
+    """values, once it is known to hold n + 1 entries."""
     if len(values) != n + 1:
         raise LengthMismatch(f"expected {n + 1} entries, got {len(values)}")
+    return values
+
+
+def _weighted_sum4(values, n: int) -> int:
+    """4 * sum_k values[k] * (k - n/2)^2, an integer, for n + 1 values."""
     return sum(map(mul, values, _weights(n)[0]))
 
 
@@ -149,15 +164,14 @@ def _chern_side12(c1_cn1: int, c_n: int, n: int) -> int:
 
 
 def _quarter_sides(betti, c1_cn1: int, n: int) -> tuple[int, int]:
-    """16 * lhs and 48 * rhs of the original normalization, as integers."""
-    if len(betti) != n + 1:
-        raise LengthMismatch(f"expected {n + 1} entries, got {len(betti)}")
+    """16 * lhs and 48 * rhs of the original normalization, as integers,
+    for n + 1 Betti numbers."""
     return sum(map(mul, betti, _weights(n)[1])), (3 - n) * sum(betti) - 2 * c1_cn1
 
 
 def weighted_betti_sum(betti, n: int) -> Fraction:
     """sum_k betti[k] * (k - n/2)^2, exact."""
-    return _fraction(_weighted_sum4(betti, n), 4)
+    return _fraction(_weighted_sum4(_length(betti, n), n), 4)
 
 
 def chern_side(c1_cn1: int, c_n: int, n: int) -> Fraction:
@@ -167,7 +181,7 @@ def chern_side(c1_cn1: int, c_n: int, n: int) -> Fraction:
 
 def chi_weighted_sum(chi, n: int) -> Fraction:
     """sum_p chi[p] * (p - n/2)^2, exact."""
-    return _fraction(_weighted_sum4(chi, n), 4)
+    return _fraction(_weighted_sum4(_length(chi, n), n), 4)
 
 
 def verify_chi_identity(chi, c1_cn1: int, c_n: int, n: int) -> bool:
@@ -176,9 +190,7 @@ def verify_chi_identity(chi, c1_cn1: int, c_n: int, n: int) -> bool:
     The chi list must be palindromic (chi_p = chi_{n-p}), which holds for
     any variety by Serre duality.
     """
-    if len(chi) != n + 1:
-        raise LengthMismatch(f"expected {n + 1} entries, got {len(chi)}")
-    if tuple(chi) != tuple(chi)[::-1]:
+    if tuple(_length(chi, n)) != tuple(chi)[::-1]:
         raise NotPalindromic(f"chi list {tuple(chi)} is not palindromic")
     return 3 * _weighted_sum4(chi, n) == _chern_side12(c1_cn1, c_n, n)
 
@@ -191,7 +203,7 @@ def quarter_weighted_form(betti, c1_cn1: int, n: int) -> tuple[Fraction, Fractio
     sum of the Betti numbers.  The two sides agree exactly iff the rewritten
     (k - n/2)^2 form does.
     """
-    lhs16, rhs48 = _quarter_sides(betti, c1_cn1, n)
+    lhs16, rhs48 = _quarter_sides(_length(betti, n), c1_cn1, n)
     return _fraction(lhs16, 16), _fraction(rhs48, 48)
 
 
@@ -200,42 +212,51 @@ def check_betti_chern(
 ) -> IdentityReport:
     """Identity report for a diamond, with its Chern numbers when known.
 
-    Raises HypothesisViolated, the package's one test of the hypothesis,
-    unless odd cohomology vanishes.  Without both Chern numbers the
-    report holds lhs and the defect, with every rhs-dependent field None.
-    With them, equality <=> defect == 0 for consistent inputs;
-    chi_identity_ok records whether the chi-weighted sum matches the Chern
-    side (true for every actual variety), and quarter_form_ok whether the
-    original-normalization identity holds.  Each verdict compares the
-    integer numerators over a common scale.
+    Raises HypothesisViolated unless odd cohomology vanishes.  Without
+    both Chern numbers the report holds lhs and the defect, with every
+    rhs-dependent field None.  With them, equality <=> defect == 0 for
+    consistent inputs; chi_identity_ok records whether the chi-weighted sum
+    matches the Chern side (true for every actual variety), and
+    quarter_form_ok whether the original-normalization identity holds.
+    Each verdict compares the integer numerators over a common scale.
     """
-    if not diamond.is_odd_vanishing:
+    return IdentityReport(*_diamond_sides(diamond._sums(), c1_cn1, c_n))
+
+
+def diamond_identity(sums: tuple, c1_cn1: int | None, c_n: int | None) -> tuple[dict, bool]:
+    """The identity fields of check_betti_chern's report on the diamond
+    whose table diamond._table checked into sums, and whether they leave
+    lhs <= rhs standing; raises as check_betti_chern does."""
+    fields = _identity_fields(*_diamond_sides(sums, c1_cn1, c_n))
+    return fields, fields["inequality_ok"] is not False
+
+
+def _diamond_sides(sums: tuple, c1_cn1, c_n) -> tuple:
+    """_sides of the diamond whose table diamond._table checked into sums;
+    raises HypothesisViolated, the package's one test of the hypothesis,
+    unless odd cohomology vanishes."""
+    betti, chi, odd_vanishing, defect4 = sums
+    if not odd_vanishing:
         raise HypothesisViolated("diamond has nonzero odd cohomology")
     if c1_cn1 is None or c_n is None:
-        return _report(diamond.even_betti(), diamond._defect4)
-    return _report(diamond.even_betti(), diamond._defect4, c1_cn1, c_n, diamond._chi_p)
+        return _sides(betti, defect4)
+    return _sides(betti, defect4, c1_cn1, c_n, chi)
 
 
-def _report(
-    betti, defect4: int, c1_cn1=None, c_n=None, chi=None, face_count_ok=None
-) -> IdentityReport:
-    """The report of the even Betti numbers betti, in dimension
-    len(betti) - 1, with defect numerator defect4; with c_n, also the rhs
-    side and its verdicts, chi_identity_ok tested on the chi side chi."""
+def _sides(betti, defect4: int, c1_cn1=None, c_n=None, chi=None, face_count_ok=None) -> tuple:
+    """IdentityReport's fields for the even Betti numbers betti, in
+    dimension len(betti) - 1, with defect numerator defect4; with c_n, also
+    the rhs side and its verdicts, chi_identity_ok tested on the chi side
+    chi (as long as betti)."""
     n = len(betti) - 1
     lhs4 = _weighted_sum4(betti, n)
     if c_n is None:
-        return IdentityReport(n=n, lhs4=lhs4, defect4=defect4)
+        return n, lhs4, defect4, None, None, None, None
     rhs12 = _chern_side12(c1_cn1, c_n, n)
     quarter16, quarter48 = _quarter_sides(betti, c1_cn1, n)
-    return IdentityReport(
-        n=n,
-        lhs4=lhs4,
-        defect4=defect4,
-        rhs12=rhs12,
-        chi_identity_ok=3 * _weighted_sum4(chi, n) == rhs12,
-        quarter_form_ok=3 * quarter16 == quarter48,
-        face_count_ok=face_count_ok,
+    return (
+        n, lhs4, defect4, rhs12,
+        3 * _weighted_sum4(chi, n) == rhs12, 3 * quarter16 == quarter48, face_count_ok,
     )
 
 
@@ -267,7 +288,7 @@ def toric_identity_report(inv: ToricInvariants) -> IdentityReport:
     chi_identity_ok, quarter_form_ok and face_count_ok each equal equality
     by construction: they restate it and cannot disagree with it.
     """
-    return _report(
+    return IdentityReport(*_sides(
         inv.betti, 0, inv.c1_cn1, inv.c_n, inv.betti,
         _face_count_holds(inv.n, inv.f_vector, inv.c1_cn1),
-    )
+    ))

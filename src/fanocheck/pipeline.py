@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import os
 from codecs import BOM_UTF8
+from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from importlib import import_module
@@ -44,9 +45,10 @@ if TYPE_CHECKING:  # annotations only
     from .lattice import FanoPolytope
 
 
-def _on_first_call(module: str, name: str):
-    """A stand-in for `name` of the submodule `module`, bound to that name
-    here, so that a command compiles only the modules its inputs need.
+def _on_first_call(module: str, name: str, attribute: str | None = None):
+    """A stand-in for `attribute` (`name` by default) of the submodule
+    `module`, bound to `name` here, so that a command compiles only the
+    modules its inputs need.
 
     Its first call imports the module and binds the name to the real
     object, unless something else was bound to it since (bench/tracer.py's
@@ -57,7 +59,7 @@ def _on_first_call(module: str, name: str):
     def stand_in(*args, **kwargs):
         nonlocal real
         if real is None:
-            real = getattr(import_module(f"{__package__}.{module}"), name)
+            real = getattr(import_module(f"{__package__}.{module}"), attribute or name)
             if globals()[name] is stand_in:
                 globals()[name] = real
         return real(*args, **kwargs)
@@ -65,11 +67,12 @@ def _on_first_call(module: str, name: str):
     return stand_in
 
 
-chi_p = _on_first_call("diamond", "chi_p")
 decode_text = _on_first_call("files", "decode_text")
-loads_diamond = _on_first_call("files", "loads_diamond")
+# A diamond file's text to its checked integers, under the name that
+# bench/tracer.py times as the parse of a diamond file.
+loads_diamond = _on_first_call("files", "loads_diamond", "diamond_integers")
 loads_polytope = _on_first_call("files", "loads_polytope")
-check_betti_chern = _on_first_call("identity", "check_betti_chern")
+diamond_identity = _on_first_call("identity", "diamond_identity")
 toric_identity_report = _on_first_call("identity", "toric_identity_report")
 toric_invariants = _on_first_call("invariants", "toric_invariants")
 polar_dual = _on_first_call("lattice", "polar_dual")
@@ -351,19 +354,24 @@ def check_diamond(data: DiamondFile, name: str) -> EntryReport:
     violation.  Without both Chern numbers only the defect side is computed.
     """
     diamond = data.diamond
-    betti = diamond.even_betti()
-    payload: dict = {"n": diamond.n, "betti": list(betti), "chi_p": list(chi_p(diamond))}
+    return _diamond_entry(name, diamond.n, data.c1_cn1, data.c_n, diamond._sums())
+
+
+def _diamond_entry(name: str, n: int, c1_cn1, c_n, sums: tuple) -> EntryReport:
+    """check_diamond's entry for a diamond of dimension n whose table
+    diamond._table checked into sums."""
+    betti, chi = sums[:2]
+    payload: dict = {"n": n, "betti": list(betti), "chi_p": list(chi)}
     try:
-        report = check_betti_chern(diamond, data.c1_cn1, data.c_n)
+        payload["identity"], holds = diamond_identity(sums, c1_cn1, c_n)
     except HypothesisViolated as exc:
         return _refused(name, "diamond", exc, payload)
-    payload["identity"] = report.to_dict()
-    if report.rhs12 is None:
+    if payload["identity"]["rhs"] is None:
         payload["note"] = "Chern numbers missing; rhs verifications skipped"
         return EntryReport(name, "diamond", CheckStatus.OK, payload=payload)
-    payload["c_n"] = data.c_n
-    payload["c1_cn1"] = data.c1_cn1
-    status = CheckStatus.OK if report.inequality_ok else CheckStatus.IDENTITY_VIOLATION
+    payload["c_n"] = c_n
+    payload["c1_cn1"] = c1_cn1
+    status = CheckStatus.OK if holds else CheckStatus.IDENTITY_VIOLATION
     return EntryReport(name, "diamond", status, payload=payload)
 
 
@@ -428,7 +436,7 @@ def _check_data(data: bytes, name: str, dual: bool = False, mode: str = "auto") 
         if is_diamond:
             if dual:
                 raise ValidationError("--dual applies to polytope files only")
-            return check_diamond(loads_diamond(text), name)
+            return _diamond_entry(name, *loads_diamond(text))
         P = loads_polytope(text)
         if dual:
             P = reflexive_dual(P)
@@ -478,9 +486,26 @@ class RunReport(Value):
         if not self.entries:
             yield "[]\n}"
             return
+        # Entries that share a payload, as copies in a batch do, differ at
+        # most in their names: the text around the name member is written
+        # once and kept while an entry that shares it is still to come.  A
+        # string holds no raw newline, so the member, at this indent, is
+        # found in the text once (unless the payload holds a name of its own).
+        uses = Counter(id(e.payload) for e in self.entries)
+        shared: dict = {}
         sep = "[\n    "
         for e in self.entries:
-            yield sep + dumps_json(e.to_dict(), "\n    ")
+            k, same = id(e.payload), (e.mode, e.status, e.error)
+            name = '\n      "name": ' + encode_basestring_ascii(e.name)
+            uses[k] -= 1
+            known = shared.get(k) if uses[k] else shared.pop(k, None)
+            if known and known[0] == same:
+                text = known[1] + name + known[2]
+            else:
+                text = dumps_json(e.to_dict(), "\n    ")
+                if uses[k] and "name" not in e.payload:
+                    shared[k] = same, *text.partition(name)[::2]
+            yield sep + text
             sep = ",\n    "
         yield "\n  ]\n}"
 

@@ -122,6 +122,23 @@ class TestBatch:
         result = run_cli(["batch", str(FIXTURES / "p2.poly"), str(FIXTURES / "p3.poly")])
         assert result.exit_code == 0
 
+    def test_serre_text_shown_once(self, tmp_path):
+        # Two tables, each Hodge symmetric but h[0][0] != h[2][2]: the
+        # first reaches the table checks through pipeline's first-call
+        # stand-in, the second directly, and the one text is shown once.
+        for name, corner in (("a.json", 3), ("b.json", 4)):
+            h = [[1, 0, 0], [0, 1, 0], [0, 0, corner]]
+            (tmp_path / name).write_text(json.dumps({"n": 2, "h": h}))
+        child = subprocess.run(
+            [sys.executable, "-c", "from fanocheck.cli import main; main()", "batch", tmp_path],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert child.returncode == 0
+        assert child.stderr.count("SerreDualityWarning: h[0][0] != h[2][2]") == 1
+
     def test_fifo_in_a_directory_is_one_parse_error(self, tmp_path):
         if not hasattr(os, "mkfifo"):
             pytest.skip("no named pipes on this platform")
@@ -549,7 +566,7 @@ class TestStartup:
         }
         source = (SRC.parent / "bench" / "tracer.py").read_text()
         traced = set(re.findall(r"(?<![\w.\"])pipeline\.(\w+)", source))
-        assert {"polar_dual", "chi_p", "compute_invariants"} <= bound
+        assert {"polar_dual", "diamond_identity", "compute_invariants"} <= bound
         assert sorted(bound - called - traced) == []
 
     def test_pipeline_names_no_verdict(self):
@@ -598,7 +615,7 @@ class TestStartup:
 import json
 from fanocheck import pipeline
 
-calls = dict.fromkeys(("polar_dual", "loads_diamond", "chi_p"), 0)
+calls = dict.fromkeys(("polar_dual", "loads_diamond", "diamond_identity"), 0)
 wrappers = {{}}
 for name in calls:
     def wrapper(*args, _name=name, _real=getattr(pipeline, name)):
@@ -612,7 +629,7 @@ print(json.dumps([calls, [getattr(pipeline, n) is w for n, w in wrappers.items()
         calls, kept = json.loads(_child(code))
         # 6 of the polytope files parse and go to polar_dual; 5 files are
         # diamond files, and 4 of them hold a valid table
-        assert calls == {"polar_dual": 6, "loads_diamond": 5, "chi_p": 4}
+        assert calls == {"polar_dual": 6, "loads_diamond": 5, "diamond_identity": 4}
         assert kept == [True, True, True]
 
     def test_threads_report_what_one_worker_does(self):

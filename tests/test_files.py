@@ -289,6 +289,17 @@ class TestDiamondFiles:
         with pytest.raises(ParseError, match=f"field '{name}' must be below 10"):
             loads_diamond(text)
 
+    @pytest.mark.parametrize(
+        "n", ["9" * 4300, str(10**4000), str(-(10**4000))], ids=["4300 nines", "top", "bottom"]
+    )
+    def test_dimension_bound(self, n):
+        # n is bounded as every other integer is, before the sign test; with
+        # 4300 nines, n + 1 in the shape message passed the digit limit of str().
+        with pytest.raises(
+            ParseError, match=r"^field 'n' must be below 10\*\*4000 in absolute value$"
+        ):
+            loads_diamond('{"n": ' + n + ', "h": [[1]]}')
+
     def test_integer_just_below_bound(self):
         top = 10**4000 - 1
         data = loads_diamond(corner_diamond(top, c1_cn1=-top, c_n=top))

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from fanocheck import (
     CheckStatus,
+    EntryReport,
     FanoPolytope,
+    HodgeDiamond,
     RunReport,
+    chi_p,
     check_polytope,
     dim2_corpus,
     dumps_polytope,
@@ -37,7 +40,7 @@ from fanocheck.errors import (
     RedundantVertex,
     SerreDualityWarning,
 )
-from fanocheck.files import loads_polytope, read_diamond
+from fanocheck.files import loads_diamond, loads_polytope, read_diamond
 from fanocheck.identity import check_betti_chern
 from fanocheck.lattice import reflexive_dual
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
@@ -61,15 +64,16 @@ class TestRunCheckToric:
         assert all(entry.payload["consistency"].values())
 
     def test_p2_builds_no_diamond(self, monkeypatch):
-        from fanocheck import HodgeDiamond
+        from fanocheck import HodgeDiamond, diamond
 
         def refuse(self, *args):
             raise AssertionError("a HodgeDiamond was built")
 
         monkeypatch.setattr(HodgeDiamond, "__init__", refuse)
+        monkeypatch.setattr(diamond, "_table", refuse)
         clear_caches()
         assert run_check(FIXTURES / "p2.poly").status is CheckStatus.OK
-        # the patch does refuse a diamond file
+        # the patch does refuse a diamond file, whose table _table checks
         assert run_check(FIXTURES / "k3.json").status is CheckStatus.INTERNAL_ERROR
 
     def test_singular_is_validation_error(self):
@@ -720,6 +724,163 @@ class TestBatchMemo:
             report = run_batch([tmp_path])
         assert [w.category for w in caught] == [SerreDualityWarning]
         assert report.entries[0].payload is report.entries[1].payload
+
+
+class TestSharedPayloads:
+    """Entries that share a payload are written as the per-entry rendering
+    writes each of them."""
+
+    def _per_entry(self, report):
+        aggregate = {**report.counts, "exit_status": report.exit_status}
+        entries = ",\n    ".join(dumps_json(e.to_dict(), "\n    ") for e in report.entries)
+        return (
+            '{\n  "aggregate": ' + dumps_json(aggregate, "\n  ")
+            + ',\n  "entries": [\n    ' + entries + "\n  ]\n}"
+        )
+
+    def _assert_written_one_by_one(self, report):
+        assert report.to_json() == self._per_entry(report)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        counts = report.counts
+        summary = (
+            f"checked {counts['total']} inputs: {counts['ok']} ok, "
+            f"{counts['identity_violations']} identity violations, {counts['errors']} errors"
+        )
+        blocks = [e.to_text() for e in report.entries] + [summary]
+        assert "".join(report.iter_text()) == "\n\n".join(blocks)
+
+    def test_batch_copies(self, tmp_path, monkeypatch, caplog):
+        # Copies whose names do not sort next to each other: k3.json three
+        # times, a table error, a parse error and a polytope twice each, and
+        # p1xp2.poly twice as an internal error, which is never shared.
+        copies = {
+            "k3.json": "a.json m.json z.json",
+            "asym.json": "b.json y.json",
+            "bad_header.poly": "c.poly x.poly",
+            "p2.poly": "d.poly w.poly",
+            "p1xp2.poly": "e.poly v.poly",
+            "genus2_curve.json": "f.json",
+        }
+        for fixture, names in copies.items():
+            for name in names.split():
+                shutil.copy(FIXTURES / fixture, tmp_path / name)
+        real = pipeline.analyze
+
+        def broken(P):
+            if len(P.vertices) == 5:
+                raise ConsistencyError("Betti list (1, 2) is not palindromic")
+            return real(P)
+
+        monkeypatch.setattr(pipeline, "analyze", broken)
+        report = run_batch([tmp_path])
+        by_name = {Path(e.name).name: e for e in report.entries}
+        assert by_name["a.json"].payload is by_name["m.json"].payload is by_name["z.json"].payload
+        assert by_name["c.poly"].payload is by_name["x.poly"].payload
+        assert by_name["e.poly"].status is CheckStatus.INTERNAL_ERROR
+        assert by_name["e.poly"].payload is not by_name["v.poly"].payload
+        self._assert_written_one_by_one(report)
+
+    def test_one_payload_under_other_statuses(self):
+        # A library caller may give entries one payload and tell them apart
+        # by mode, status or error; only the name is written once per entry.
+        payload = {"n": 2, "betti": [1, 1, 1]}
+        entries = (
+            EntryReport("a", "toric", CheckStatus.OK, payload=payload),
+            EntryReport("b", "toric", CheckStatus.PARSE_ERROR, "ParseError: x", payload),
+            EntryReport("c", "toric", CheckStatus.OK, payload=payload),
+            EntryReport("d", "diamond", CheckStatus.OK, payload=payload),
+            EntryReport('e"\u2028\udcff', "toric", CheckStatus.OK, payload=payload),
+            EntryReport("f", "toric", CheckStatus.PARSE_ERROR, "ParseError: x", payload),
+            # a payload whose own name writes over the entry's
+            EntryReport("g", "toric", CheckStatus.OK, payload={"name": "own"}),
+        )
+        entries += (EntryReport("h", "toric", CheckStatus.OK, payload=entries[-1].payload),)
+        self._assert_written_one_by_one(RunReport(entries))
+
+
+@st.composite
+def diamond_files(draw) -> bytes:
+    """A diamond file: a table that keeps Hodge symmetry and Serre duality,
+    with odd cohomology or without, and at most one fault put in; each
+    Chern number absent, small, at the bound or not an integer."""
+    n = draw(st.integers(0, 4))
+    h = [[0] * (n + 1) for _ in range(n + 1)]
+    for p in range(n + 1):
+        for q in range(n + 1):
+            orbit = {(p, q), (q, p), (n - p, n - q), (n - q, n - p)}
+            if min(orbit) == (p, q):
+                value = draw(st.integers(0, 30))
+                for a, b in orbit:
+                    h[a][b] = value
+    h[0][0] = h[n][n] = 1
+    if draw(st.booleans()):
+        h = [[0 if (p + q) % 2 else x for q, x in enumerate(row)] for p, row in enumerate(h)]
+    p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
+    faults = ["none"] * 3 + ["negative", "h00", "hodge", "serre", "type", "bound"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "negative":
+        h[p][q] = -draw(st.integers(1, 5))
+    elif fault == "h00":
+        h[0][0] = draw(st.integers(0, 5).filter(lambda x: x != 1))
+    elif fault == "hodge":
+        h[p][q] += 1
+    elif fault == "serre":
+        h[p][q] = h[q][p] = h[p][q] + 1
+    elif fault == "type":
+        h[p][q] = draw(st.sampled_from([True, False, 1.5, 2.0, "1", None]))
+    elif fault == "bound":
+        h[p][q] = h[q][p] = draw(st.sampled_from([10**4000, -(10**4000), 10**4000 - 1]))
+    obj = {"n": n, "h": h}
+    for name in ("c1_cn1", "c_n"):
+        kind = draw(st.sampled_from(["absent"] * 2 + ["small"] * 4 + ["top", "other"]))
+        if kind == "small":
+            obj[name] = draw(st.integers(-60, 60))
+        elif kind != "absent":
+            top = [10**4000 - 1, 1 - 10**4000, 10**4000, -(10**4000)]
+            obj[name] = draw(st.sampled_from(top if kind == "top" else [True, 2.5, "7", None]))
+    return json.dumps(obj).encode()
+
+
+def _warned(call, *args):
+    """call(*args) and the texts of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [str(w.message) for w in caught]
+
+
+def _reference_entry(data: bytes, name: str):
+    """The entry of a diamond file as loads_diamond -> HodgeDiamond ->
+    check_betti_chern -> to_dict() make it, and the warnings given."""
+    try:
+        file, warned = _warned(loads_diamond, data.decode())
+        diamond, built = _warned(HodgeDiamond, file.diamond.n, file.diamond.h)
+    except Exception as exc:
+        return pipeline._refused(name, "diamond", exc), []
+    assert built == warned and diamond == file.diamond
+    payload = {"n": diamond.n, "betti": list(diamond.even_betti()), "chi_p": list(chi_p(diamond))}
+    try:
+        report = check_betti_chern(diamond, file.c1_cn1, file.c_n)
+    except HypothesisViolated as exc:
+        return pipeline._refused(name, "diamond", exc, payload), warned
+    payload["identity"] = report.to_dict()
+    if report.rhs12 is None:
+        payload["note"] = "Chern numbers missing; rhs verifications skipped"
+        return EntryReport(name, "diamond", CheckStatus.OK, payload=payload), warned
+    payload.update(c_n=file.c_n, c1_cn1=file.c1_cn1)
+    status = CheckStatus.OK if report.inequality_ok else CheckStatus.IDENTITY_VIOLATION
+    return EntryReport(name, "diamond", status, payload=payload), warned
+
+
+class TestOnePassDiamond:
+    @settings(deadline=None, max_examples=300)
+    @given(data=diamond_files())
+    def test_entry_is_the_reference_composition(self, data):
+        entry, warned = _warned(pipeline._check_data, data, "d.json")
+        expected, expected_warned = _reference_entry(data, "d.json")
+        assert entry.status is not CheckStatus.INTERNAL_ERROR, entry.error
+        assert entry.to_dict() == expected.to_dict()
+        assert warned == expected_warned
 
 
 report_text = st.text(
