@@ -31,31 +31,15 @@ _PUBLIC = {
         "quarter_weighted_form",
         "toric_identity_report",
         "verify_chi_identity",
-        "verify_face_count_identity",
         "weighted_betti_sum",
     ),
-    "invariants": (
-        "IntPolynomial",
-        "ToricInvariants",
-        "betti_numbers",
-        "chern_numbers",
-        "compute_invariants",
-        "poincare_polynomial",
-        "second_derivative_at_one",
-        "toric_invariants",
-    ),
+    "invariants": ("ToricInvariants", "toric_invariants"),
     "lattice": (
         "Cone",
-        "Face",
-        "FaceLattice",
         "FanoPolytope",
         "Halfspace",
         "LatticePoint",
-        "edge_interior_points",
-        "face_lattice",
-        "facet_enumeration",
         "is_reflexive",
-        "is_smooth",
         "polar_dual",
         "reflexive_dual",
     ),
@@ -65,10 +49,23 @@ _PUBLIC = {
         "RunReport",
         "ToricAnalysis",
         "analyze",
-        "check_diamond",
         "check_polytope",
         "run_batch",
         "run_check",
+    ),
+    "reference": (
+        "Face",
+        "FaceLattice",
+        "IntPolynomial",
+        "betti_numbers",
+        "chern_numbers",
+        "compute_invariants",
+        "edge_interior_points",
+        "face_lattice",
+        "facet_enumeration",
+        "poincare_polynomial",
+        "second_derivative_at_one",
+        "verify_face_count_identity",
     ),
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}

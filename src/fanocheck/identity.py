@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # annotations only; a check loads only what its mode runs
 
     from .diamond import HodgeDiamond
     from .invariants import ToricInvariants
-    from .lattice import FaceLattice, FanoPolytope
 
 
 class IdentityReport(Value):
@@ -258,17 +257,6 @@ def _sides(betti, defect4: int, c1_cn1=None, c_n=None, chi=None, face_count_ok=N
         n, lhs4, defect4, rhs12,
         3 * _weighted_sum4(chi, n) == rhs12, 3 * quarter16 == quarter48, face_count_ok,
     )
-
-
-def verify_face_count_identity(delta: FanoPolytope, faces: FaceLattice) -> bool:
-    """Combinatorial form of the identity on the dual polytope:
-
-    #2-faces = (1/12) * (interior points summed over edges)
-             + (n^2/8 - n/6) * #vertices,  exactly.
-    """
-    from .invariants import chern_numbers
-
-    return _face_count_holds(delta.dim, faces.f_vector(), chern_numbers(delta, faces)[1])
 
 
 def _face_count_holds(n: int, fvec, c1_cn1: int) -> bool:

@@ -5,11 +5,6 @@ ways that can disagree: the Betti numbers and the degree c_1 . C of each
 torus-invariant curve from the fan (one integer inverse per maximal cone),
 and each such degree again as the lattice length of an edge of the dual
 polytope, with the edges and 2-faces counted from the facet incidences.
-
-The face-lattice derivation (the variety is a disjoint union of tori, one
-per face of the dual polytope, so the Poincare polynomial is the face sum
-of (t-1)^dim) stays as a library function and as the tests' reference; it
-is exponential in the dimension.
 """
 
 from __future__ import annotations
@@ -17,124 +12,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .errors import ConsistencyError, NegativeCoefficient
-from .lattice import (
-    FaceLattice,
-    FanoPolytope,
-    _bits,
-    _content,
-    _dot,
-    edge_interior_points,
-)
+from .errors import ConsistencyError
+from .lattice import FanoPolytope, _bits, _content, _dot
 from .value import Value, set_field
-
-
-class IntPolynomial(Value):
-    """Univariate polynomial with integer coefficients, index = degree."""
-
-    __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        set_field(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_coeffs(cls, seq) -> "IntPolynomial":
-        coeffs = [int(c) for c in seq]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return cls(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.from_coeffs(
-            [self.coefficient(k) + other.coefficient(k) for k in range(size)]
-        )
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial.from_coeffs(out)
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial.from_coeffs(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            term = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            if k > 0 and abs(c) != 1:
-                term = f"{abs(c)}*{term}"
-            elif k == 0:
-                term = str(abs(c))
-            parts.append(("- " if c < 0 else "+ " if parts else "") + term)
-        return " ".join(parts)
-
-
-def poincare_polynomial(faces: FaceLattice) -> IntPolynomial:
-    """Sum of (t-1)^dim over all nonempty faces, expanded in t.
-
-    For a smooth reflexive dual polytope the coefficients are the even Betti
-    numbers h^{2k} of the associated toric variety.
-    """
-    return _strata_polynomial(faces.f_vector())
-
-
-def _strata_polynomial(counts) -> IntPolynomial:
-    """sum_k counts[k] * (t-1)^k, expanded in t."""
-    out = [0] * len(counts)
-    for k, fk in enumerate(counts):
-        for j in range(k + 1):
-            out[j] += fk * comb(k, j) * (-1) ** (k - j)
-    return IntPolynomial.from_coeffs(out)
-
-
-def betti_numbers(poly: IntPolynomial) -> tuple[int, ...]:
-    """Coefficient list of the even Poincare polynomial.
-
-    Raises NegativeCoefficient when a coefficient is negative, which means
-    a non-smooth or non-projective input slipped through upstream checks.
-    """
-    if any(c < 0 for c in poly.coeffs):
-        raise NegativeCoefficient(f"polynomial {poly} has a negative coefficient")
-    return poly.coeffs
-
-
-def chern_numbers(delta: FanoPolytope, faces: FaceLattice) -> tuple[int, int]:
-    """(c_n, c_1*c_{n-1}) of the toric variety with dual polytope delta.
-
-    c_n counts the vertices of delta; c_1*c_{n-1} sums, over the edges of
-    delta, the number of interior lattice points plus one.
-    """
-    c_top = len(faces.faces(0))
-    c1_part = 0
-    for edge in faces.faces(1):
-        i, j = edge.vertex_indices
-        c1_part += edge_interior_points(delta.vertices[i], delta.vertices[j]) + 1
-    return c_top, c1_part
 
 
 def _walls(facets) -> list[tuple[int, int, int, int]]:
@@ -190,11 +70,6 @@ def _fan_side(P: FanoPolytope, walls) -> tuple[tuple[int, ...], list[int]]:
         col = columns[b][cones[b].indices.index(j)]
         degrees.append(2 - _dot(v, row_sums[b]) + _dot(v, col))
     return tuple(betti), degrees
-
-
-def second_derivative_at_one(poly: IntPolynomial) -> int:
-    """Exact value of d^2 p / dt^2 at t = 1."""
-    return sum(k * (k - 1) * c for k, c in enumerate(poly.coeffs))
 
 
 class ToricInvariants(Value):
@@ -268,19 +143,3 @@ def toric_invariants(P: FanoPolytope, delta: FanoPolytope) -> tuple[ToricInvaria
         n=n, betti=betti, c_n=len(facets), c1_cn1=sum(lengths), f_vector=fvec
     )
     return inv, consistent
-
-
-def compute_invariants(delta: FanoPolytope, faces: FaceLattice) -> ToricInvariants:
-    """Assemble all invariants from the dual polytope's face lattice: the
-    reference derivation, exponential in n, that the pipeline no longer runs.
-
-    Malformed or non-palindromic Betti numbers raise ConsistencyError; for
-    a smooth reflexive input that is a bug.
-    """
-    n = delta.dim
-    betti = betti_numbers(poincare_polynomial(faces))
-    _check_betti(betti, n)
-    c_top, c1_part = chern_numbers(delta, faces)
-    return ToricInvariants(
-        n=n, betti=betti, c_n=c_top, c1_cn1=c1_part, f_vector=faces.f_vector()
-    )

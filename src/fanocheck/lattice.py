@@ -24,7 +24,6 @@ from math import gcd
 from operator import and_
 
 from .errors import (
-    DegenerateEdge,
     DegenerateInput,
     DuplicateVertex,
     InvalidDimension,
@@ -103,11 +102,6 @@ def _independent(rows) -> list[int]:
     return chosen
 
 
-def _affine_rank(points) -> int:
-    """Dimension of the affine span of the given lattice points."""
-    return len(_affine_basis(points)) - 1
-
-
 def _affine_basis(points) -> list[int]:
     """Indices of a maximal affinely independent subset of the points,
     taken greedily in order (so its size is the affine rank plus one)."""
@@ -142,40 +136,6 @@ class Halfspace(Value):
     def __init__(self, normal: LatticePoint, offset: int):
         set_field(self, "normal", normal)
         set_field(self, "offset", offset)
-
-
-class Face(Value):
-    """A face given by its dimension and the indices of the polytope
-    vertices lying on it."""
-
-    __slots__ = _fields = ("dim", "vertex_indices")
-
-    def __init__(self, dim: int, vertex_indices: tuple[int, ...]):
-        set_field(self, "dim", dim)
-        set_field(self, "vertex_indices", vertex_indices)
-
-
-class FaceLattice(Value):
-    """All nonempty faces of a polytope, grouped by dimension.
-
-    Level k holds the k-dimensional faces; the top level is the polytope
-    itself.  The empty face is not represented.
-    """
-
-    __slots__ = _fields = ("faces_by_dim",)
-
-    def __init__(self, faces_by_dim: tuple[tuple[Face, ...], ...]):
-        set_field(self, "faces_by_dim", faces_by_dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.faces_by_dim) - 1
-
-    def faces(self, k: int) -> tuple[Face, ...]:
-        return self.faces_by_dim[k]
-
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.faces_by_dim)
 
 
 class FanoPolytope(Value):
@@ -216,8 +176,12 @@ class FanoPolytope(Value):
 
     @cached_property
     def hull(self) -> _Hull:
-        """Facet halfspaces and incidences, from one scan on first use;
-        raises what facet_enumeration documents."""
+        """Facet halfspaces and incidences, from one scan on first use.
+
+        Raises DegenerateInput if the vertices do not span,
+        OriginNotInterior if the origin is not strictly inside,
+        RedundantVertex if some listed point is not extreme.
+        """
         return _scan(self)
 
     @cached_property
@@ -334,28 +298,9 @@ def _scan(P: FanoPolytope) -> _Hull:
     return hull
 
 
-def facet_enumeration(P: FanoPolytope) -> tuple[Halfspace, ...]:
-    """All facet halfspaces of P, normalized to primitive outer normals.
-
-    Raises DegenerateInput if the vertices do not span, OriginNotInterior if
-    the origin is not strictly inside, RedundantVertex if some listed point
-    is not extreme.
-    """
-    return P.hull.halfspaces
-
-
 def is_reflexive(P: FanoPolytope) -> bool:
     """True iff every facet lies at lattice distance 1 from the origin."""
     return all(h.offset == 1 for h in P.hull.halfspaces)
-
-
-def is_smooth(P: FanoPolytope) -> bool:
-    """True iff every facet is a simplex whose vertices form a lattice basis."""
-    try:
-        P.cones
-    except NotSmooth:
-        return False
-    return True
 
 
 def reflexive_dual(P: FanoPolytope) -> FanoPolytope:
@@ -392,46 +337,3 @@ def polar_dual(P: FanoPolytope) -> FanoPolytope:
     delta = reflexive_dual(P)
     P.cones  # raises NotSmooth
     return delta
-
-
-def face_lattice(P: FanoPolytope) -> FaceLattice:
-    """All nonempty faces of P, from the closure of facet-set intersections.
-
-    Every face of a polytope is an intersection of the facets containing it,
-    so intersecting facet vertex masks until closure enumerates exactly
-    the nonempty faces; the polytope itself is the unique top face.
-    """
-    incidences = P.hull.incidences
-    full = (1 << len(P.vertices)) - 1
-    found = {full}
-    stack = [full]
-    while stack:
-        face = stack.pop()
-        for facet in incidences:
-            sub = face & facet
-            if sub and sub not in found:
-                found.add(sub)
-                stack.append(sub)
-
-    by_dim: list[list[Face]] = [[] for _ in range(P.dim + 1)]
-    for mask in found:
-        indices = _bits(mask)
-        d = _affine_rank([P.vertices[i] for i in indices])
-        by_dim[d].append(Face(d, indices))
-    for level in by_dim:
-        level.sort(key=lambda f: f.vertex_indices)
-    return FaceLattice(tuple(tuple(level) for level in by_dim))
-
-
-def edge_interior_points(a: LatticePoint, b: LatticePoint) -> int:
-    """Number of lattice points strictly between a and b on the segment [a, b].
-
-    Equals gcd(b - a) - 1; symmetric and translation invariant.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"point lengths differ: {len(a)} != {len(b)}")
-    diff = tuple(x - y for x, y in zip(b, a))
-    g = _content(diff)
-    if g == 0:
-        raise DegenerateEdge(f"segment endpoints coincide: {a}")
-    return g - 1

@@ -39,7 +39,6 @@ from .value import Value, set_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
-    from .files import DiamondFile
     from .identity import IdentityReport
     from .invariants import ToricInvariants
     from .lattice import FanoPolytope
@@ -78,12 +77,13 @@ toric_invariants = _on_first_call("invariants", "toric_invariants")
 polar_dual = _on_first_call("lattice", "polar_dual")
 reflexive_dual = _on_first_call("lattice", "reflexive_dual")
 
-# Not called here: bench/tracer.py reads these four names from this module
-# to wrap them, and its traced run stops when one is missing.
-compute_invariants = _on_first_call("invariants", "compute_invariants")
-second_derivative_at_one = _on_first_call("invariants", "second_derivative_at_one")
-face_lattice = _on_first_call("lattice", "face_lattice")
-facet_enumeration = _on_first_call("lattice", "facet_enumeration")
+# Not called here: bench/tracer.py reads these four names of the reference
+# derivations from this module to wrap them, and its traced run stops when
+# one is missing.
+compute_invariants = _on_first_call("reference", "compute_invariants")
+second_derivative_at_one = _on_first_call("reference", "second_derivative_at_one")
+face_lattice = _on_first_call("reference", "face_lattice")
+facet_enumeration = _on_first_call("reference", "facet_enumeration")
 
 
 class CheckStatus(enum.Enum):
@@ -346,20 +346,14 @@ def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
     return EntryReport(name, "toric", status, payload=payload)
 
 
-def check_diamond(data: DiamondFile, name: str) -> EntryReport:
-    """Verify a user-supplied Hodge diamond; one with odd cohomology is a
-    validation error, with the text check_betti_chern raises.
+def _diamond_entry(name: str, n: int, c1_cn1, c_n, sums: tuple) -> EntryReport:
+    """The entry of a diamond of dimension n whose table diamond._table
+    checked into sums, with its Chern numbers when known; odd cohomology
+    is a validation error, with the text check_betti_chern raises.
 
     A strict inequality is informational, not a failure; only lhs > rhs is a
     violation.  Without both Chern numbers only the defect side is computed.
     """
-    diamond = data.diamond
-    return _diamond_entry(name, diamond.n, data.c1_cn1, data.c_n, diamond._sums())
-
-
-def _diamond_entry(name: str, n: int, c1_cn1, c_n, sums: tuple) -> EntryReport:
-    """check_diamond's entry for a diamond of dimension n whose table
-    diamond._table checked into sums."""
     betti, chi = sums[:2]
     payload: dict = {"n": n, "betti": list(betti), "chi_p": list(chi)}
     try:

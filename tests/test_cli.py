@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -461,9 +462,10 @@ class TestUnwritableStdout:
 
 
 _CHECK_MODULES = {
-    f"fanocheck.{m}" for m in ("diamond", "files", "identity", "invariants", "lattice")
+    f"fanocheck.{m}"
+    for m in ("diamond", "files", "identity", "invariants", "lattice", "reference")
 }
-_TORIC_MODULES = _CHECK_MODULES - {"fanocheck.diamond"}
+_TORIC_MODULES = _CHECK_MODULES - {"fanocheck.diamond", "fanocheck.reference"}
 
 
 def _child(code: str, *args) -> str:
@@ -568,6 +570,53 @@ class TestStartup:
         traced = set(re.findall(r"(?<![\w.\"])pipeline\.(\w+)", source))
         assert {"polar_dual", "diamond_identity", "compute_invariants"} <= bound
         assert sorted(bound - called - traced) == []
+
+    def test_every_stand_in_resolves(self):
+        # Nothing calls the stand-ins that only the tracer reads, so a
+        # stand-in pointing at a name its module lacks fails only here.
+        tree = ast.parse((SRC / "fanocheck" / "pipeline.py").read_text())
+        targets = [
+            [arg.value for arg in node.args]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_on_first_call"
+        ]
+        assert targets
+        missing = [
+            (module, attribute[-1])
+            for module, *attribute in targets
+            if not callable(getattr(import_module(f"fanocheck.{module}"), attribute[-1], None))
+        ]
+        assert missing == []
+
+    def test_reference_lives_in_one_module(self):
+        # The reference derivations are defined in fanocheck.reference
+        # alone, and besides the public table only the tracer's four
+        # stand-ins in pipeline name that module.
+        reference = set(fanocheck._PUBLIC["reference"])
+        defined, naming = [], []
+        for path in sorted((SRC / "fanocheck").glob("*.py")):
+            if path.stem == "reference":
+                continue
+            for top in ast.parse(path.read_text()).body:
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in reference:
+                    defined.append(f"{path.stem}.{top.name}")
+                if any(
+                    isinstance(node, ast.Constant) and node.value == "reference"
+                    or isinstance(node, ast.ImportFrom) and node.module == "reference"
+                    for node in ast.walk(top)
+                ):
+                    label = top.targets[0] if isinstance(top, ast.Assign) else top
+                    naming.append(f"{path.stem}.{ast.unparse(label)}")
+        assert defined == []
+        assert naming == ["__init__._PUBLIC"] + [
+            f"pipeline.{name}"
+            for name in (
+                "compute_invariants",
+                "second_derivative_at_one",
+                "face_lattice",
+                "facet_enumeration",
+            )
+        ]
 
     def test_pipeline_names_no_verdict(self):
         # IdentityReport writes its own verdicts, so no string in pipeline

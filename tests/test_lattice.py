@@ -17,7 +17,6 @@ from fanocheck import (
     gen_direct_sum,
     gen_pn,
     is_reflexive,
-    is_smooth,
     polar_dual,
     read_polytope,
     reflexive_dual,
@@ -32,7 +31,8 @@ from fanocheck.errors import (
     OriginNotInterior,
     RedundantVertex,
 )
-from fanocheck.lattice import _adjugate, _affine_rank, _dot, _scan
+from fanocheck.lattice import _adjugate, _dot, _scan
+from fanocheck.reference import _affine_rank
 
 from conftest import (
     apply_matrix,
@@ -144,11 +144,12 @@ class TestConstructorValidation:
 class TestPredicates:
     def test_p2_reflexive_and_smooth(self):
         assert is_reflexive(P2)
-        assert is_smooth(P2)
+        assert P2.cones
 
     def test_singular_reflexive_not_smooth(self):
         assert is_reflexive(SINGULAR)
-        assert not is_smooth(SINGULAR)
+        with pytest.raises(NotSmooth):
+            SINGULAR.cones
         assert as_pairs(facet_enumeration(SINGULAR)) == {
             ((1, 1), 1),
             ((-3, 1), 1),
@@ -156,7 +157,7 @@ class TestPredicates:
         }
 
     def test_cross_smooth(self):
-        assert is_smooth(CROSS)
+        assert CROSS.cones
 
     def test_not_reflexive(self):
         P = FanoPolytope(2, ((1, 0), (0, 1), (-1, -3)))
@@ -168,7 +169,8 @@ class TestPredicates:
 
     def test_cube_reflexive_not_smooth(self):
         assert is_reflexive(CUBE3)
-        assert not is_smooth(CUBE3)  # facets are squares, not simplices
+        with pytest.raises(NotSmooth):  # facets are squares, not simplices
+            CUBE3.cones
 
 
 class TestSmoothnessMessages:
@@ -193,8 +195,11 @@ class TestSmoothnessMessages:
 
     @pytest.mark.parametrize("P, message", CASES)
     def test_is_smooth_stays_false(self, P, message):
-        assert is_smooth(P) is False
-        assert is_smooth(P) is False
+        # a second ask raises the first refusal again
+        for _ in range(2):
+            with pytest.raises(NotSmooth) as info:
+                P.cones
+            assert str(info.value) == message
 
 
 class TestPolarDual:
@@ -333,7 +338,7 @@ class TestUnimodularInvariance:
                 m = random_unimodular(2, rng)
                 Q = apply_matrix(entry.polytope, m)
                 assert is_reflexive(Q)
-                assert is_smooth(Q)
+                assert Q.cones
                 assert face_lattice(polar_dual(Q)).f_vector() == face_lattice(
                     polar_dual(entry.polytope)
                 ).f_vector()
