@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, mul, sub
 
-from .errors import InvalidBetti, InvalidDiamond, SerreDualityWarning
+from .errors import InvalidDiamond, SerreDualityWarning
 from .value import Value, set_field
 
 TYPE_CHECKING = False
@@ -118,40 +118,10 @@ class HodgeDiamond(Value):
         table = tuple(tuple(int(x) for x in row) for row in rows)
         return cls(len(table) - 1, table)
 
-    @classmethod
-    def from_betti(cls, betti) -> "HodgeDiamond":
-        """Diagonal diamond with h[p][p] = betti[p], zero elsewhere.
-
-        The list must be palindromic and nonnegative with betti[0] = 1; no
-        geometric claim is made beyond that.
-        """
-        betti = tuple(int(b) for b in betti)
-        if not betti or betti[0] != 1:
-            raise InvalidBetti(f"betti[0] must be 1, got {betti[:1]}")
-        if any(b < 0 for b in betti):
-            raise InvalidBetti("Betti numbers must be nonnegative")
-        if betti != betti[::-1]:
-            raise InvalidBetti(f"Betti list {betti} is not palindromic")
-        n = len(betti) - 1
-        rows = tuple(
-            tuple(betti[p] if p == q else 0 for q in range(n + 1))
-            for p in range(n + 1)
-        )
-        return cls(n, rows)
-
     @property
     def is_odd_vanishing(self) -> bool:
         """True iff h[p][q] = 0 whenever p + q is odd."""
         return self._odd_vanishing
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(
-            self.h[p][q] == 0
-            for p in range(self.n + 1)
-            for q in range(self.n + 1)
-            if p != q
-        )
 
     def even_betti(self) -> tuple[int, ...]:
         """h^{2k} = sum of h[p][q] over p + q = 2k, for k = 0..n."""

@@ -49,10 +49,6 @@ class DegenerateEdge(ValidationError):
     """Both endpoints of a segment coincide."""
 
 
-class InvalidBetti(ValidationError):
-    """Betti list is not palindromic, nonnegative, with leading entry 1."""
-
-
 class InvalidDiamond(ValidationError):
     """Hodge table is not symmetric, nonnegative, with h[0][0] = 1."""
 

@@ -39,7 +39,9 @@ class IdentityReport(Value):
     rhs12 over 12.  lhs, defect and rhs are the exact Fractions, and
     equality and inequality_ok are read from to_dict(), when read.
     rhs-dependent fields are None when the Chern numbers needed to compute
-    them were not supplied; face_count_ok is only filled in toric mode.
+    them were not supplied; chi_identity_ok and quarter_form_ok are None
+    unless a chi side was tested, which only a diamond with both Chern
+    numbers gives.
     """
 
     __slots__ = _fields = (
@@ -49,7 +51,6 @@ class IdentityReport(Value):
         "rhs12",
         "chi_identity_ok",
         "quarter_form_ok",
-        "face_count_ok",
     )
 
     def __init__(
@@ -60,7 +61,6 @@ class IdentityReport(Value):
         rhs12: int | None = None,
         chi_identity_ok: bool | None = None,
         quarter_form_ok: bool | None = None,
-        face_count_ok: bool | None = None,
     ):
         set_field(self, "n", n)
         set_field(self, "lhs4", lhs4)
@@ -68,7 +68,6 @@ class IdentityReport(Value):
         set_field(self, "rhs12", rhs12)
         set_field(self, "chi_identity_ok", chi_identity_ok)
         set_field(self, "quarter_form_ok", quarter_form_ok)
-        set_field(self, "face_count_ok", face_count_ok)
 
     @property
     def equality(self) -> bool | None:
@@ -100,25 +99,26 @@ class IdentityReport(Value):
         return _identity_fields(*self._key())
 
 
-def _identity_fields(n, lhs4, defect4, rhs12, chi_identity_ok, quarter_form_ok, face_count_ok):
+def _identity_fields(n, lhs4, defect4, rhs12=None, chi_identity_ok=None, quarter_form_ok=None):
     """The identity fields of the report with these fields: lhs, defect
     and rhs as "p/q" in lowest terms, or "p" when q is 1, as str() of the
     Fraction reads; then the verdicts, in the order a text report lists
-    them.  Only here do equality and inequality_ok compare lhs4 and rhs12."""
+    them, the chi side's two only when they were tested.  Only here do
+    equality and inequality_ok compare lhs4 and rhs12."""
     if rhs12 is None:
         rhs = equality = inequality_ok = None
     else:
         rhs, equality, inequality_ok = _ratio_text(rhs12, 12), 3 * lhs4 == rhs12, 3 * lhs4 <= rhs12
-    return {
+    fields = {
         "lhs": _ratio_text(lhs4, 4),
         "defect": _ratio_text(defect4, 4),
         "rhs": rhs,
         "equality": equality,
         "inequality_ok": inequality_ok,
-        "chi_identity_ok": chi_identity_ok,
-        "quarter_form_ok": quarter_form_ok,
-        "face_count_ok": face_count_ok,
     }
+    if chi_identity_ok is not None:
+        fields.update(chi_identity_ok=chi_identity_ok, quarter_form_ok=quarter_form_ok)
+    return fields
 
 
 def _fraction(num: int, scale: int) -> Fraction:
@@ -242,29 +242,20 @@ def _diamond_sides(sums: tuple, c1_cn1, c_n) -> tuple:
     return _sides(betti, defect4, c1_cn1, c_n, chi)
 
 
-def _sides(betti, defect4: int, c1_cn1=None, c_n=None, chi=None, face_count_ok=None) -> tuple:
-    """IdentityReport's fields for the even Betti numbers betti, in
+def _sides(betti, defect4: int, c1_cn1=None, c_n=None, chi=None) -> tuple:
+    """IdentityReport's leading fields for the even Betti numbers betti, in
     dimension len(betti) - 1, with defect numerator defect4; with c_n, also
-    the rhs side and its verdicts, chi_identity_ok tested on the chi side
-    chi (as long as betti)."""
+    rhs12, and with the chi side chi (as long as betti) the two verdicts
+    tested on it."""
     n = len(betti) - 1
     lhs4 = _weighted_sum4(betti, n)
     if c_n is None:
-        return n, lhs4, defect4, None, None, None, None
+        return n, lhs4, defect4
     rhs12 = _chern_side12(c1_cn1, c_n, n)
+    if chi is None:
+        return n, lhs4, defect4, rhs12
     quarter16, quarter48 = _quarter_sides(betti, c1_cn1, n)
-    return (
-        n, lhs4, defect4, rhs12,
-        3 * _weighted_sum4(chi, n) == rhs12, 3 * quarter16 == quarter48, face_count_ok,
-    )
-
-
-def _face_count_holds(n: int, fvec, c1_cn1: int) -> bool:
-    """The face-count identity with c1_cn1 = interior + #edges, tested as
-    24 * #2-faces = 2 * interior + (3n^2 - 4n) * #vertices."""
-    two_faces = fvec[2] if n >= 2 else 0
-    interior = c1_cn1 - fvec[1]
-    return 24 * two_faces == 2 * interior + (3 * n * n - 4 * n) * fvec[0]
+    return n, lhs4, defect4, rhs12, 3 * _weighted_sum4(chi, n) == rhs12, 3 * quarter16 == quarter48
 
 
 def toric_identity_report(inv: ToricInvariants) -> IdentityReport:
@@ -273,10 +264,7 @@ def toric_identity_report(inv: ToricInvariants) -> IdentityReport:
 
     The variety's diamond is diagonal, so the defect is 0 and chi_p is the
     Betti number h^{2p}.  With c_n the sum of the palindromic Betti list,
-    chi_identity_ok, quarter_form_ok and face_count_ok each equal equality
-    by construction: they restate it and cannot disagree with it.
+    the chi-weighted and original-normalization forms would restate
+    equality and could not disagree with it, so they are not tested.
     """
-    return IdentityReport(*_sides(
-        inv.betti, 0, inv.c1_cn1, inv.c_n, inv.betti,
-        _face_count_holds(inv.n, inv.f_vector, inv.c1_cn1),
-    ))
+    return IdentityReport(*_sides(inv.betti, 0, inv.c1_cn1, inv.c_n))

@@ -142,9 +142,10 @@ class FanoPolytope(Value):
     """Full-dimensional lattice polytope with primitive vertices.
 
     Used both for the polytope spanned by the primitive ray generators in N
-    and for its integral dual in M.  The constructor checks only cheap local
-    invariants (shape, primitivity, distinctness); spanning, interiority of
-    the origin and vertex minimality are established by facet enumeration.
+    and for its integral dual in M.  The constructor checks only the shape
+    and distinctness of the vertices; primitivity, spanning, interiority of
+    the origin and vertex minimality are established with the hull, so a
+    report can read each of them as failed.
     """
 
     _fields = ("dim", "vertices")
@@ -160,8 +161,6 @@ class FanoPolytope(Value):
         for v in vertices:
             if len(v) != dim:
                 raise DegenerateInput(f"vertex {v} has length {len(v)}, expected {dim}")
-            if _content(v) != 1:
-                raise NonPrimitiveVertex(f"vertex {v} is not primitive")
         if len(set(vertices)) != len(vertices):
             raise DuplicateVertex("vertex list contains repeated points")
         set_field(self, "dim", dim)
@@ -178,10 +177,14 @@ class FanoPolytope(Value):
     def hull(self) -> _Hull:
         """Facet halfspaces and incidences, from one scan on first use.
 
-        Raises DegenerateInput if the vertices do not span,
+        Raises NonPrimitiveVertex, before the scan, if some vertex is not
+        primitive, DegenerateInput if the vertices do not span,
         OriginNotInterior if the origin is not strictly inside,
         RedundantVertex if some listed point is not extreme.
         """
+        for v in self.vertices:
+            if _content(v) != 1:
+                raise NonPrimitiveVertex(f"vertex {v} is not primitive")
         return _scan(self)
 
     @cached_property

@@ -28,6 +28,7 @@ from _json import encode_basestring_ascii
 from .errors import (
     DegenerateInput,
     HypothesisViolated,
+    NonPrimitiveVertex,
     NotReflexive,
     NotSmooth,
     OriginNotInterior,
@@ -317,6 +318,9 @@ def check_polytope(P: FanoPolytope, name: str) -> EntryReport:
     payload: dict = {"n": P.dim, "vertex_count": len(P.vertices), "valid": valid}
     try:
         analysis = analyze(P)
+    except NonPrimitiveVertex as exc:
+        valid.update(primitive=False, spanning=None, reflexive=None, smooth=None)
+        return _refused(name, "toric", exc, payload)
     except (DegenerateInput, OriginNotInterior, RedundantVertex) as exc:
         # only a non-spanning input fails before the span check passes
         spanning = not isinstance(exc, DegenerateInput)

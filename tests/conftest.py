@@ -169,6 +169,12 @@ def product_f_vector(f_a, f_b):
     return tuple(out)
 
 
+def diagonal_diamond(betti) -> HodgeDiamond:
+    """The diamond with h[p][p] = betti[p] and zeros elsewhere."""
+    rows = [[b * (p == q) for q in range(len(betti))] for p, b in enumerate(betti)]
+    return HodgeDiamond.from_table(rows)
+
+
 def random_symmetric_diamond(rng: random.Random, max_n=6, max_entry=50) -> HodgeDiamond:
     """Random Hodge-symmetric, odd-vanishing diamond with h[0][0] = 1.
 

@@ -9,23 +9,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanocheck import HodgeDiamond, chi_p, defect
-from fanocheck.errors import InvalidBetti, InvalidDiamond, SerreDualityWarning
+from fanocheck.errors import InvalidDiamond, SerreDualityWarning
 
-from conftest import random_symmetric_diamond
+from conftest import diagonal_diamond, random_symmetric_diamond
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::fanocheck.errors.SerreDualityWarning"
 )
 
 K3 = HodgeDiamond.from_table([[1, 0, 1], [0, 20, 0], [1, 0, 1]])
-P2_DIAMOND = HodgeDiamond.from_betti([1, 1, 1])
+P2_DIAMOND = diagonal_diamond([1, 1, 1])
 
 
 class TestConstruction:
     def test_k3(self):
         assert K3.n == 2
         assert K3.is_odd_vanishing
-        assert not K3.is_diagonal
+        assert K3.h[0][2] == 1  # off the diagonal
         assert sum(chi_p(K3)) == 24
 
     def test_rejects_asymmetric_table(self):
@@ -49,24 +49,12 @@ class TestConstruction:
             d = HodgeDiamond.from_table([[1, 0], [0, 7]])
         assert d.h[1][1] == 7
 
-    def test_from_betti(self):
-        assert P2_DIAMOND.is_diagonal
-        assert P2_DIAMOND.h[1][1] == 1
-        quadric = HodgeDiamond.from_betti([1, 2, 1])
-        assert quadric.h[1][1] == 2
-        # purely formal, but palindromic with leading 1: accepted
-        formal = HodgeDiamond.from_betti([1, 0, 1])
-        assert formal.h[1][1] == 0
-
-    def test_from_betti_rejects(self):
-        with pytest.raises(InvalidBetti):
-            HodgeDiamond.from_betti([2, 1, 2])
-        with pytest.raises(InvalidBetti):
-            HodgeDiamond.from_betti([1, 2, 3])
-        with pytest.raises(InvalidBetti):
-            HodgeDiamond.from_betti([1, -1, 1])
-        with pytest.raises(InvalidBetti):
-            HodgeDiamond.from_betti([])
+    def test_diagonal_table(self):
+        # purely formal for (1, 0, 1), but a valid table all the same
+        for betti in ([1, 1, 1], [1, 2, 1], [1, 0, 1]):
+            d = diagonal_diamond(betti)
+            assert [d.h[p][p] for p in range(3)] == betti
+            assert d.is_odd_vanishing and d.even_betti() == tuple(betti)
 
 
 def e_polynomial(diamond):
@@ -103,14 +91,14 @@ class TestChiP:
             n = rng.randint(1, 6)
             betti = [1] + [rng.randint(0, 30) for _ in range(n - 1)] + [1]
             betti = [max(a, b) for a, b in zip(betti, betti[::-1])]
-            d = HodgeDiamond.from_betti(betti)
+            d = diagonal_diamond(betti)
             assert chi_p(d) == tuple(d.h[p][p] for p in range(n + 1))
 
 
 class TestDefect:
     def test_diagonal_is_zero(self):
         assert defect(P2_DIAMOND) == 0
-        assert defect(HodgeDiamond.from_betti([1, 5, 9, 5, 1])) == 0
+        assert defect(diagonal_diamond([1, 5, 9, 5, 1])) == 0
 
     def test_k3(self):
         assert defect(K3) == 2
@@ -127,7 +115,9 @@ class TestDefect:
             d = random_symmetric_diamond(rng, max_n=5, max_entry=6)
             gap = defect(d)
             assert gap >= 0
-            assert (gap == 0) == d.is_diagonal
+            assert (gap == 0) == all(
+                x == 0 for p, row in enumerate(d.h) for q, x in enumerate(row) if p != q
+            )
 
 
 def ref_defect(diamond):

@@ -149,8 +149,10 @@ class TestPolytopeFiles:
             loads_polytope("# nothing here\n")
 
     def test_validation_error_is_not_parse_error(self):
+        # The file parses; its hull refuses the vertex (2, 0).
+        P = loads_polytope("2 3\n2 0\n0 1\n-1 -1\n")
         with pytest.raises(NonPrimitiveVertex):
-            loads_polytope("2 3\n2 0\n0 1\n-1 -1\n")
+            P.hull
 
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

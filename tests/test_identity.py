@@ -42,7 +42,7 @@ from fanocheck.errors import (
     ValidationError,
 )
 
-from conftest import random_symmetric_diamond
+from conftest import diagonal_diamond, random_symmetric_diamond
 from test_golden import FIXTURES, GOLDEN, ROOT, _generated_polytopes
 
 pytestmark = pytest.mark.filterwarnings(
@@ -87,7 +87,7 @@ class TestChernSide:
 
 class TestCheckBettiChern:
     def test_p2(self):
-        report = check_betti_chern(HodgeDiamond.from_betti([1, 1, 1]), 9, 3)
+        report = check_betti_chern(diagonal_diamond([1, 1, 1]), 9, 3)
         assert (report.lhs, report.rhs, report.defect) == (2, 2, 0)
         assert report.equality and report.inequality_ok
         assert report.chi_identity_ok and report.quarter_form_ok
@@ -101,7 +101,7 @@ class TestCheckBettiChern:
         assert report.lhs + report.defect == report.rhs
 
     def test_p1(self):
-        report = check_betti_chern(HodgeDiamond.from_betti([1, 1]), 2, 2)
+        report = check_betti_chern(diagonal_diamond([1, 1]), 2, 2)
         assert report.lhs == report.rhs == Fraction(1, 2)
         assert report.equality and report.defect == 0
 
@@ -139,7 +139,28 @@ class TestCheckBettiChern:
         assert report.rhs12 is None and report.rhs is None
         verdicts = ("equality", "inequality_ok", "chi_identity_ok", "quarter_form_ok")
         assert [getattr(report, k) for k in verdicts] == [None] * 4
-        assert report.face_count_ok is None
+        # The chi side's verdicts were not tested, so they are not written.
+        assert list(report.to_dict()) == ["lhs", "defect", "rhs", "equality", "inequality_ok"]
+
+    @pytest.mark.parametrize(
+        "table, c1_cn1, c_n, verdict",
+        [
+            # c_n is not the Betti sum, so the original normalization fails.
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7, 5, "quarter_form_ok"),
+            # K3's chi side (2, -20, 2) is not its Betti list.
+            ([[1, 0, 1], [0, 20, 0], [1, 0, 1]], 0, 12, "chi_identity_ok"),
+        ],
+    )
+    def test_written_verdict_can_disagree_with_equality(self, table, c1_cn1, c_n, verdict):
+        # Each verdict a diamond report writes besides equality and
+        # inequality_ok tests something equality does not.
+        report = check_betti_chern(HodgeDiamond.from_table(table), c1_cn1, c_n)
+        written = report.to_dict()
+        assert written["equality"] is True and written[verdict] is False
+        assert list(written) == [
+            "lhs", "defect", "rhs",
+            "equality", "inequality_ok", "chi_identity_ok", "quarter_form_ok",
+        ]
 
 
 class TestChiIdentity:
@@ -255,7 +276,8 @@ class TestEqualityCriterion:
             report = check_betti_chern(d, int(c1_exact), c_n)
             assert report.chi_identity_ok
             assert report.inequality_ok
-            assert report.equality == (report.defect == 0) == d.is_diagonal
+            diagonal = all(x == 0 for p, row in enumerate(d.h) for q, x in enumerate(row) if p != q)
+            assert report.equality == (report.defect == 0) == diagonal
             assert report.lhs + report.defect == report.rhs
 
 
@@ -456,10 +478,7 @@ class TestIdentityReportNumerators:
         report = IdentityReport(n=n, lhs4=lhs4, defect4=defect4, rhs12=rhs12)
         sides = {"lhs": (lhs4, 4), "defect": (defect4, 4), "rhs": (rhs12, 12)}
         written = report.to_dict()
-        assert list(written) == [
-            "lhs", "defect", "rhs",
-            "equality", "inequality_ok", "chi_identity_ok", "quarter_form_ok", "face_count_ok",
-        ]
+        assert list(written) == ["lhs", "defect", "rhs", "equality", "inequality_ok"]
         for name, (num, scale) in sides.items():
             got = getattr(report, name)
             if num is None:
@@ -475,11 +494,11 @@ class TestIdentityReportNumerators:
             assert report.inequality_ok == (3 * lhs4 <= rhs12)
 
 
-def ref_toric_report(inv, face_count_ok):
+def ref_toric_report(inv):
     """The toric report as the diagonal diamond of the Betti numbers gives
-    it, with face_count_ok as given."""
-    ref = check_betti_chern(HodgeDiamond.from_betti(inv.betti), inv.c1_cn1, inv.c_n)
-    return IdentityReport(*ref._key()[:-1], face_count_ok)
+    it, without the chi side's verdicts: there they would restate equality."""
+    ref = check_betti_chern(diagonal_diamond(inv.betti), inv.c1_cn1, inv.c_n)
+    return IdentityReport(*ref._key()[:4])
 
 
 @st.composite
@@ -499,7 +518,7 @@ def _toric_invariants(draw):
 class TestToricReportMatchesDiamondRoute:
     """toric_identity_report builds no diamond; the report it gives is the
     one check_betti_chern gives on the diagonal diamond of the Betti
-    numbers, plus the face-count verdict."""
+    numbers, less the verdicts that would restate equality there."""
 
     def test_golden_inputs(self):
         cases = list(_generated_polytopes())
@@ -518,8 +537,8 @@ class TestToricReportMatchesDiamondRoute:
             except ValidationError:
                 continue
             delta, inv = analysis.delta, analysis.invariants
-            face_count_ok = verify_face_count_identity(delta, face_lattice(delta))
-            assert toric_identity_report(inv) == ref_toric_report(inv, face_count_ok), label
+            assert verify_face_count_identity(delta, face_lattice(delta)), label
+            assert toric_identity_report(inv) == ref_toric_report(inv), label
             checked.append(label)
         golden = json.loads(GOLDEN.read_text())
         toric = [k for k, v in golden.items() if v["mode"] == "toric" and "identity" in v]
@@ -527,11 +546,6 @@ class TestToricReportMatchesDiamondRoute:
 
     @given(_toric_invariants())
     def test_palindromic_betti(self, inv):
-        n, f = inv.n, inv.f_vector
-        two_faces = f[2] if n >= 2 else 0
-        face_count_ok = two_faces == Fraction(inv.c1_cn1 - f[1], 12) + (
-            Fraction(n * n, 8) - Fraction(n, 6)
-        ) * f[0]
         got = toric_identity_report(inv)
-        assert got == ref_toric_report(inv, face_count_ok)
+        assert got == ref_toric_report(inv)
         assert got.defect4 == 0

@@ -124,13 +124,17 @@ class TestFacetEnumeration:
 
 
 class TestConstructorValidation:
+    # Primitivity is checked with the hull, so that a report can read it as
+    # failed; the constructor accepts the vertices.
     def test_non_primitive_vertex(self):
-        with pytest.raises(NonPrimitiveVertex):
-            FanoPolytope(2, ((2, 0), (0, 1), (-1, -1)))
+        P = FanoPolytope(2, ((2, 0), (0, 1), (-1, -1)))
+        with pytest.raises(NonPrimitiveVertex, match=r"^vertex \(2, 0\) is not primitive$"):
+            P.hull
 
     def test_zero_vertex(self):
+        P = FanoPolytope(2, ((0, 0), (0, 1), (1, 0)))
         with pytest.raises(NonPrimitiveVertex):
-            FanoPolytope(2, ((0, 0), (0, 1), (1, 0)))
+            P.hull
 
     def test_duplicate_vertex(self):
         with pytest.raises(DuplicateVertex):

@@ -57,10 +57,10 @@ class TestRunCheckToric:
         assert entry.status.exit_code == 0
         ident = entry.payload["identity"]
         assert ident["lhs"] == "2" and ident["rhs"] == "2" and ident["defect"] == "0"
-        assert all(ident[k] for k in (
-            "equality", "inequality_ok", "chi_identity_ok",
-            "quarter_form_ok", "face_count_ok",
-        ))
+        # A toric entry writes no verdict that restates equality, as the
+        # chi-weighted, quarter and face-count forms would there.
+        assert sorted(ident) == ["defect", "equality", "inequality_ok", "lhs", "rhs"]
+        assert ident["equality"] and ident["inequality_ok"]
         assert all(entry.payload["consistency"].values())
 
     def test_p2_builds_no_diamond(self, monkeypatch):
@@ -133,7 +133,12 @@ class TestRunCheckToric:
         path.write_text("2 3\n2 0\n0 1\n-1 -1\n")
         entry = run_check(path)
         assert entry.status is CheckStatus.VALIDATION_ERROR
-        assert "NonPrimitiveVertex" in entry.error
+        assert entry.error == "NonPrimitiveVertex: vertex (2, 0) is not primitive"
+        assert entry.payload == {
+            "n": 2,
+            "vertex_count": 3,
+            "valid": {"primitive": False, "spanning": None, "reflexive": None, "smooth": None},
+        }
 
     def test_non_spanning_file(self, tmp_path):
         path = tmp_path / "flat.poly"
@@ -943,7 +948,7 @@ dual f-vector: (3, 3, 1)
 betti: (1, 1, 1)
 c_n = 3, c1*c_(n-1) = 9
 identity: lhs = 2, rhs = 2, defect = 0
-verdicts: equality=yes inequality_ok=yes chi_identity_ok=yes quarter_form_ok=yes face_count_ok=yes
+verdicts: equality=yes inequality_ok=yes
 consistency: fan_vs_dual=yes
 status: ok"""
 

@@ -55,7 +55,7 @@ SAMPLES = {
     ),
     "IdentityReport": lambda: IdentityReport(n=2, lhs4=8, defect4=0),
     "HodgeDiamond": lambda: HodgeDiamond(2, ((1, 0, 1), (0, 20, 0), (1, 0, 1))),
-    "DiamondFile": lambda: DiamondFile(HodgeDiamond.from_betti((1, 1, 1)), 9, 3),
+    "DiamondFile": lambda: DiamondFile(HodgeDiamond.from_table([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 9, 3),
     "PinnedValues": lambda: PinnedValues(betti=(1, 1, 1), c_n=3),
     "CorpusEntry": lambda: CorpusEntry("P2", _p2()),
     "ToricAnalysis": _analysis,
@@ -111,7 +111,7 @@ def test_a_field_difference_breaks_equality():
     assert Halfspace((1, 0), 1) != Halfspace((1, 0), 2)
     assert FanoPolytope(1, ((1,), (-1,))) != FanoPolytope(1, ((-1,), (1,)))
     assert IdentityReport(n=2, lhs4=8, defect4=0) != IdentityReport(
-        n=2, lhs4=8, defect4=0, face_count_ok=True
+        n=2, lhs4=8, defect4=0, quarter_form_ok=True
     )
 
 
