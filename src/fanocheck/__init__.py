@@ -11,18 +11,17 @@ from importlib import import_module
 # submodule -> the public names it defines
 _PUBLIC = {
     "corpus": ("CorpusEntry", "PinnedValues", "dim2_corpus", "gen_direct_sum", "gen_pn"),
-    "diamond": ("HodgeDiamond", "chi_p", "defect"),
-    "files": (
+    "diamond": (
         "DiamondFile",
+        "HodgeDiamond",
+        "chi_p",
+        "defect",
         "dumps_diamond",
-        "dumps_polytope",
         "loads_diamond",
-        "loads_polytope",
         "read_diamond",
-        "read_polytope",
         "write_diamond",
-        "write_polytope",
     ),
+    "files": ("dumps_polytope", "loads_polytope", "read_polytope", "write_polytope"),
     "identity": (
         "IdentityReport",
         "check_betti_chern",

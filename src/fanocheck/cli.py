@@ -17,8 +17,15 @@ from .errors import FanocheckError
 from .pipeline import RunReport, run_batch, run_check
 
 # Escape sequences a file name can carry into a text report.  They reach a
-# terminal as they are and are dropped from anything else.
-_ESCAPE = re.compile(r"\x1b\[[;?0-9]*[a-zA-Z]")
+# terminal as they are and are dropped from anything else: an ECMA-48
+# control sequence (CSI); a string control (OSC, DCS, SOS, PM, APC) up to
+# BEL or ST; any other escape, with its intermediate and final bytes; and
+# a lone ESC.
+_ESCAPE = re.compile(
+    r"\x1b(?:\[[\x30-\x3f]*[\x20-\x2f]*[\x40-\x7e]"
+    r"|[]PX^_][^\x07\x1b]*(?:\x07|\x1b\\)"
+    r"|[\x20-\x2f]*[\x30-\x7e])?"
+)
 
 
 def _write(chunks) -> None:

@@ -1,25 +1,19 @@
-"""File formats: plain-text polytope files and JSON Hodge diamond files.
+"""Input text, the integer bound of every input file, and polytope files.
 
 Polytope files: '#' starts a comment line, the first data line is
 "n v" (dimension, vertex count), followed by v lines of n integers.
-Diamond files: a JSON object with integer field "n", row-major table "h",
-and optional integer Chern numbers "c1_cn1" and "c_n"; no object in the
-file may name a field twice.
+Diamond files are read in `diamond`.
 """
 
 from __future__ import annotations
 
 from codecs import BOM_UTF8
-from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
-from .errors import InvalidDiamond, ParseError
-from .value import Value, set_field
+from .errors import ParseError
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only; each file format loads its own module
-    from .diamond import HodgeDiamond
+if TYPE_CHECKING:  # annotations only; lattice loads with the first polytope
     from .lattice import FanoPolytope
 
 
@@ -97,30 +91,11 @@ def write_polytope(P: FanoPolytope, path, comment: str | None = None) -> None:
     Path(path).write_text(dumps_polytope(P, comment))
 
 
-class DiamondFile(Value):
-    """A Hodge diamond plus whatever Chern numbers the file supplied."""
-
-    __slots__ = _fields = ("diamond", "c1_cn1", "c_n")
-
-    def __init__(
-        self, diamond: HodgeDiamond, c1_cn1: int | None = None, c_n: int | None = None
-    ):
-        set_field(self, "diamond", diamond)
-        set_field(self, "c1_cn1", c1_cn1)
-        set_field(self, "c_n", c_n)
-
-
-# Integers in a diamond file stay below this in absolute value.  The reported
-# sums are small multiples of such integers (the defect weights an entry by
+# Integers in an input file stay below this in absolute value.  The sums a
+# diamond's report gives are small multiples of such integers (the defect weights an entry by
 # (q - p)^2 / 4), so they stay hundreds of digits below the 4300-digit limit
 # of Python's int-to-string conversion.
 INT_BOUND = 10**4000
-
-
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"field {name!r} must be an integer, got {value!r}")
-    return value
 
 
 def _require_bounded(low, high, what: str) -> None:
@@ -157,128 +132,3 @@ def _bounded_ints(fields, what: str) -> tuple[int, ...]:
             raise
     _require_bounded(min(values), max(values), what)
     return values
-
-
-def _unique_fields(pairs: list) -> dict:
-    """The object of a JSON object's (name, value) pairs; raises ParseError
-    on a name given twice, where json.loads would keep the last value."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen = set()
-        for name, _ in pairs:
-            if name in seen:
-                raise ParseError(f"field {name!r} is given more than once")
-            seen.add(name)
-    return obj
-
-
-@lru_cache(maxsize=None)
-def _diamond_modules():
-    """The decode method of the one JSON decoder of diamond files, and the
-    diamond module, both loaded on the first diamond: json.loads with a hook
-    would build a decoder on every call."""
-    import json  # imported here, so that polytope files do not load it
-
-    from . import diamond
-
-    return json.JSONDecoder(object_pairs_hook=_unique_fields).decode, diamond
-
-
-def _diamond_fields(text: str) -> tuple:
-    """The fields of diamond file contents: n, the rows of 'h' as lists and
-    their entries flattened, the least entry, and c1_cn1 and c_n (None when
-    not given).  Shape, type and bound problems raise ParseError."""
-    if text.startswith("\ufeff"):
-        # A second mark, which decode_text keeps: refused as json.loads
-        # refuses it, a check that decode() does not make.
-        raise ParseError(
-            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
-            "line 1 column 1 (char 0)"
-        )
-    decode, _ = _diamond_modules()
-    try:
-        obj = decode(text)
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, a ValueError subclass, and RecursionError (deeply
-        # nested arrays) are invalid JSON.  A plain ValueError is int()
-        # refusing a number of more than 4300 digits for its length alone:
-        # past the bound, whatever its value.
-        if type(exc) is ValueError:
-            raise ParseError("integers must be below 10**4000 in absolute value") from None
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("diamond file must hold a JSON object")
-    if "n" not in obj or "h" not in obj:
-        raise ParseError("diamond file needs fields 'n' and 'h'")
-    n = _require_int(obj["n"], "n")
-    _require_bounded(n, n, "field 'n'")
-    if n < 0:
-        # as the constructor says it; no table has a negative size
-        raise InvalidDiamond(f"dimension must be >= 0, got {n}")
-    rows = obj["h"]
-    if (
-        not isinstance(rows, list)
-        or len(rows) != n + 1
-        # The decoder makes no list subclass, so `type is list` is exact.
-        or not {*map(type, rows)} <= {list}
-        or not {*map(len, rows)} <= {n + 1}
-    ):
-        raise ParseError(f"'h' must be a {n + 1}x{n + 1} table")
-    # Flattened once, for the type, bound and sign tests and for every sum.
-    flat = (*chain.from_iterable(rows),)
-    # bool is the only int subclass the decoder makes, so `type is int` is exact.
-    if not {*map(type, flat)} <= {int}:
-        for x in flat:
-            _require_int(x, "h")
-    low = min(flat)
-    _require_bounded(low, max(flat), "field 'h'")
-    for name in ("c1_cn1", "c_n"):
-        if name in obj:
-            value = _require_int(obj[name], name)
-            _require_bounded(value, value, f"field {name!r}")
-    return n, rows, flat, low, obj.get("c1_cn1"), obj.get("c_n")
-
-
-def diamond_integers(text: str) -> tuple:
-    """n, c1_cn1, c_n and the sums that diamond._table returns, for diamond
-    file contents; table-consistency problems raise InvalidDiamond."""
-    n, rows, flat, low, c1_cn1, c_n = _diamond_fields(text)
-    _, diamond = _diamond_modules()
-    # warned here, whatever the caller, so that a text is shown once
-    return n, c1_cn1, c_n, diamond._table(rows, flat, low, 2)
-
-
-def loads_diamond(text: str) -> DiamondFile:
-    """Parse diamond file contents.  Shape and type problems raise
-    ParseError; table-consistency problems raise the constructor's errors."""
-    from .diamond import HodgeDiamond
-
-    n, rows, _, _, c1_cn1, c_n = _diamond_fields(text)
-    return DiamondFile(HodgeDiamond(n, tuple(map(tuple, rows))), c1_cn1, c_n)
-
-
-def dumps_diamond(
-    diamond: HodgeDiamond, c1_cn1: int | None = None, c_n: int | None = None
-) -> str:
-    import json
-
-    obj = {"n": diamond.n, "h": [list(row) for row in diamond.h]}
-    if c1_cn1 is not None:
-        obj["c1_cn1"] = c1_cn1
-    if c_n is not None:
-        obj["c_n"] = c_n
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def read_diamond(path) -> DiamondFile:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads_diamond(decode_text(data))
-
-
-def write_diamond(
-    diamond: HodgeDiamond, path, c1_cn1: int | None = None, c_n: int | None = None
-) -> None:
-    Path(path).write_text(dumps_diamond(diamond, c1_cn1, c_n))

@@ -102,14 +102,6 @@ def _independent(rows) -> list[int]:
     return chosen
 
 
-def _affine_basis(points) -> list[int]:
-    """Indices of a maximal affinely independent subset of the points,
-    taken greedily in order (so its size is the affine rank plus one)."""
-    base = points[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return [0] + [i + 1 for i in _independent(diffs)]
-
-
 def _bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of mask, in increasing order."""
     return tuple(i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1")
@@ -249,11 +241,12 @@ def _scan(P: FanoPolytope) -> _Hull:
     verts = P.vertices
     n = P.dim
     nv = len(verts)
-    basis = _affine_basis(verts)
+    rows = [v + (-1,) for v in verts]
+    # Points are affinely independent exactly when their rows (v, -1) are
+    # linearly independent.
+    basis = _independent(rows)
     if len(basis) <= n:
         raise DegenerateInput("vertices do not affinely span the ambient space")
-
-    rows = [v + (-1,) for v in verts]
     det, adj = _adjugate([rows[i] for i in basis])
     in_basis = sum(1 << i for i in basis)
     rays: list[tuple[LatticePoint, int]] = []

@@ -70,7 +70,7 @@ def _on_first_call(module: str, name: str, attribute: str | None = None):
 decode_text = _on_first_call("files", "decode_text")
 # A diamond file's text to its checked integers, under the name that
 # bench/tracer.py times as the parse of a diamond file.
-loads_diamond = _on_first_call("files", "loads_diamond", "diamond_integers")
+loads_diamond = _on_first_call("diamond", "loads_diamond", "diamond_integers")
 loads_polytope = _on_first_call("files", "loads_polytope")
 diamond_identity = _on_first_call("identity", "diamond_identity")
 toric_identity_report = _on_first_call("identity", "toric_identity_report")

@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import DegenerateEdge, NegativeCoefficient
 from .invariants import ToricInvariants, _check_betti
-from .lattice import FanoPolytope, Halfspace, LatticePoint, _affine_basis, _bits, _content
+from .lattice import FanoPolytope, Halfspace, LatticePoint, _bits, _content, _independent
 from .value import Value, set_field
 
 
@@ -64,8 +64,10 @@ def facet_enumeration(P: FanoPolytope) -> tuple[Halfspace, ...]:
 
 
 def _affine_rank(points) -> int:
-    """Dimension of the affine span of the given lattice points."""
-    return len(_affine_basis(points)) - 1
+    """Dimension of the affine span of the given lattice points: the rank
+    of their differences from the first."""
+    base = points[0]
+    return len(_independent([[a - b for a, b in zip(p, base)] for p in points[1:]]))
 
 
 def face_lattice(P: FanoPolytope) -> FaceLattice:

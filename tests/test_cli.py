@@ -305,6 +305,21 @@ class TestTerminal:
             assert "\x1b" not in piped.output
             assert terminal.output.replace("\x1b[31m", "") == piped.output
 
+    @pytest.mark.parametrize(
+        "sequence",
+        ["\x1b]0;t\x07", "\x1b]0;t\x1b\\", "\x1b[2~", "\x1b[38:5:1m", "\x1bc"],
+        ids=["osc-bel", "osc-st", "csi-tilde", "csi-colon", "ris"],
+    )
+    def test_every_escape_dropped_off_a_terminal(self, tmp_path, sequence):
+        shutil.copy(FIXTURES / "p2.poly", tmp_path / f"a{sequence}b.poly")
+        piped = run_cli(["batch", tmp_path])
+        terminal = run_cli(["batch", tmp_path], tty=True)
+        assert terminal.exit_code == piped.exit_code == 0
+        assert f"== {tmp_path / f'a{sequence}b.poly'} (toric) ==" in terminal.output
+        assert "\x1b" not in piped.output
+        # the rest of the name stays: a<sequence>b reads ab
+        assert terminal.output.replace(sequence, "") == piped.output
+
 
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader goes away after `budget` characters."""

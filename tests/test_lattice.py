@@ -31,7 +31,7 @@ from fanocheck.errors import (
     OriginNotInterior,
     RedundantVertex,
 )
-from fanocheck.lattice import _adjugate, _dot, _scan
+from fanocheck.lattice import _adjugate, _dot, _independent, _scan
 from fanocheck.reference import _affine_rank
 
 from conftest import (
@@ -382,6 +382,27 @@ class TestEdgeInteriorPoints:
         shifted_b = tuple(x + y for x, y in zip(b, t))
         assert forward == edge_interior_points(shifted_a, shifted_b)
         assert forward == oracle_segment_interior(a, b)
+
+
+class TestScanBasis:
+    """The start of the facet scan: the greedy linearly independent rows
+    (v, -1) are the greedy affinely independent points v."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=8
+            )
+        )
+    )
+    def test_homogenized_rows_give_the_affine_basis(self, pts):
+        basis = _independent([v + (-1,) for v in pts])
+        assert basis[0] == 0
+        assert len(basis) == _affine_rank(pts) + 1
+        for i in range(1, len(pts)):
+            before = [pts[j] for j in basis if j < i]
+            grows = _affine_rank(before + [pts[i]]) > _affine_rank(before)
+            assert (i in basis) == grows
 
 
 def check_adjugate(rows):

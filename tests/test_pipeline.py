@@ -40,7 +40,7 @@ from fanocheck.errors import (
     RedundantVertex,
     SerreDualityWarning,
 )
-from fanocheck.files import loads_diamond, loads_polytope, read_diamond
+from fanocheck import loads_diamond, loads_polytope, read_diamond
 from fanocheck.identity import check_betti_chern
 from fanocheck.lattice import reflexive_dual
 from fanocheck.pipeline import analyze, clear_caches, dumps_json
