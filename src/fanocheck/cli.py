@@ -16,21 +16,23 @@ from pathlib import Path
 from .errors import FanocheckError
 from .pipeline import RunReport, run_batch, run_check
 
-# Escape sequences a file name can carry into a text report.  They reach a
-# terminal as they are and are dropped from anything else: an ECMA-48
-# control sequence (CSI); a string control (OSC, DCS, SOS, PM, APC) up to
-# BEL or ST; any other escape, with its intermediate and final bytes; and
-# a lone ESC.
+# Escape sequences and C1 controls a file name can carry into a text report.
+# They reach a terminal as they are and are dropped from anything else: an
+# ECMA-48 control sequence (CSI, as ESC [ or U+009B); a string control (OSC,
+# DCS, SOS, PM, APC, as ESC and a letter or as one C1 control) up to BEL or
+# ST (ESC \ or U+009C); any other escape, with its intermediate and final
+# bytes; a lone ESC; and any other C1 control, U+0080-U+009F.
 _ESCAPE = re.compile(
-    r"\x1b(?:\[[\x30-\x3f]*[\x20-\x2f]*[\x40-\x7e]"
-    r"|[]PX^_][^\x07\x1b]*(?:\x07|\x1b\\)"
-    r"|[\x20-\x2f]*[\x30-\x7e])?"
+    r"(?:\x1b\[|\x9b)[\x30-\x3f]*[\x20-\x2f]*[\x40-\x7e]"
+    r"|(?:\x1b[]PX^_]|[\x90\x98\x9d-\x9f])[^\x07\x1b\x9c]*(?:\x07|\x9c|\x1b\\)"
+    r"|\x1b[\x20-\x2f]*[\x30-\x7e]"
+    r"|[\x1b\x80-\x9f]"
 )
 
 
 def _write(chunks) -> None:
-    """Write text chunks to stdout, without escape sequences unless stdout
-    is a terminal.
+    """Write text chunks to stdout, without escape sequences or C1 controls
+    unless stdout is a terminal.
 
     A file name that is not UTF-8 holds lone surrogates; where stdout's
     encoder is strict they are written as backslash escapes, as on stderr.
@@ -38,7 +40,9 @@ def _write(chunks) -> None:
     if getattr(sys.stdout, "errors", None) == "strict":
         sys.stdout.reconfigure(errors="backslashreplace")
     if not sys.stdout.isatty():
-        chunks = (_ESCAPE.sub("", chunk) for chunk in chunks)
+        # _ESCAPE has no literal first character for the regex engine to look
+        # for, so a chunk with neither ESC nor C1, as most are, skips its scan.
+        chunks = (_ESCAPE.sub("", c) if "\x1b" in c or not c.isascii() else c for c in chunks)
     sys.stdout.writelines(chunks)
 
 
@@ -83,66 +87,44 @@ def _output(emit, *args) -> int:
     return code
 
 
-def _report(report: RunReport, fmt: str) -> int:
-    """Write the report and return its exit status, or _output's code when
-    stdout could not take it."""
-    return _output(_emit, report, fmt) or report.exit_status
+# Each command returns what it made, a report or the paths it wrote, and
+# main writes it; a generator's error reaches main as an exception.
+def _check(args) -> RunReport:
+    return RunReport((run_check(args.file, dual=args.dual, mode=args.mode),))
 
 
-def _error(exc: FanocheckError | OSError) -> int:
-    print(f"Error: {exc}", file=sys.stderr)
-    return 1
+def _batch(args) -> RunReport:
+    return run_batch(args.paths)
 
 
-def _check(args) -> int:
-    return _report(RunReport((run_check(args.file, dual=args.dual),)), args.format)
-
-
-def _batch(args) -> int:
-    return _report(run_batch(args.paths), args.format)
-
-
-def _diamond(args) -> int:
-    return _report(RunReport((run_check(args.file, mode="diamond"),)), args.format)
-
-
-def _gen_pn(args) -> int:
+def _gen_pn(args) -> list:
     from .corpus import gen_pn
     from .files import write_polytope
 
-    try:
-        write_polytope(gen_pn(args.n), args.output, comment=f"P^{args.n}")
-    except (FanocheckError, OSError) as exc:
-        return _error(exc)
-    return _output(_wrote, [args.output])
+    write_polytope(gen_pn(args.n), args.output, comment=f"P^{args.n}")
+    return [args.output]
 
 
-def _gen_sum(args) -> int:
+def _gen_sum(args) -> list:
     from .corpus import gen_direct_sum
     from .files import read_polytope, write_polytope
 
-    try:
-        S = gen_direct_sum(read_polytope(args.file1), read_polytope(args.file2))
-        write_polytope(S, args.output, comment=f"direct sum of {args.file1} and {args.file2}")
-    except (FanocheckError, OSError) as exc:
-        return _error(exc)
-    return _output(_wrote, [args.output])
+    S = gen_direct_sum(read_polytope(args.file1), read_polytope(args.file2))
+    write_polytope(S, args.output, comment=f"direct sum of {args.file1} and {args.file2}")
+    return [args.output]
 
 
-def _corpus_dim2(args) -> int:
+def _corpus_dim2(args) -> list:
     from .corpus import dim2_corpus
     from .files import write_polytope
 
     out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for entry in dim2_corpus():
-            paths.append(out / f"{entry.name.lower()}.poly")
-            write_polytope(entry.polytope, paths[-1], comment=entry.name)
-    except (FanocheckError, OSError) as exc:
-        return _error(exc)
-    return _output(_wrote, paths)
+    for entry in dim2_corpus():
+        paths.append(out / f"{entry.name.lower()}.poly")
+        write_polytope(entry.polytope, paths[-1], comment=entry.name)
+    return paths
 
 
 def _command(commands, name: str, doc: str, run=None) -> argparse.ArgumentParser:
@@ -166,6 +148,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     check = _command(
         commands, "check", "Validate and verify a single polytope or diamond file.", _check
     )
+    check.set_defaults(mode="auto")
     check.add_argument("file", metavar="FILE")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument(
@@ -192,8 +175,9 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     )
 
     diamond = _command(
-        commands, "diamond", "Verify a Hodge diamond file (forces diamond mode).", _diamond
+        commands, "diamond", "Verify a Hodge diamond file (forces diamond mode).", _check
     )
+    diamond.set_defaults(mode="diamond", dual=False)
     diamond.add_argument("file", metavar="FILE")
     diamond.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -227,11 +211,19 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
 
 def main(args=None, prog_name=None):
-    """Run one command and exit with its status: 0-3 from the report, 141
-    when stdout closed early, 74 when it cannot be written, 1 for a `gen`
-    or `corpus` error, 2 for a usage error.
+    """Run one command, write its result to stdout and exit with its
+    status: 0-3 from the report, 141 when stdout closed early, 74 when it
+    cannot be written, 1 for a `gen` or `corpus` error (one `Error:` line
+    on stderr), 2 for a usage error.
 
     args defaults to sys.argv[1:], prog_name to "fanocheck".
     """
     ns = _parser(prog_name or "fanocheck").parse_args(args)
-    sys.exit(ns.run(ns))
+    try:
+        result = ns.run(ns)
+    except (FanocheckError, OSError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    if isinstance(result, RunReport):
+        sys.exit(_output(_emit, result, ns.format) or result.aggregate["exit_status"])
+    sys.exit(_output(_wrote, result))

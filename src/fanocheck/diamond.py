@@ -21,7 +21,7 @@ from operator import itemgetter, mul, sub
 from pathlib import Path
 
 from .errors import InvalidDiamond, ParseError, SerreDualityWarning
-from .files import _require_bounded, decode_text
+from .files import _require_bounded, decode_text, read_bytes
 from .value import Value, set_field
 
 TYPE_CHECKING = False
@@ -272,11 +272,7 @@ def dumps_diamond(
 
 
 def read_diamond(path) -> DiamondFile:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads_diamond(decode_text(data))
+    return loads_diamond(decode_text(read_bytes(path)))
 
 
 def write_diamond(

@@ -1,4 +1,4 @@
-"""Input text, the integer bound of every input file, and polytope files.
+"""Reading input files, the integer bound they keep, and polytope files.
 
 Polytope files: '#' starts a comment line, the first data line is
 "n v" (dimension, vertex count), followed by v lines of n integers.
@@ -7,6 +7,7 @@ Diamond files are read in `diamond`.
 
 from __future__ import annotations
 
+import os
 from codecs import BOM_UTF8
 from pathlib import Path
 
@@ -15,6 +16,24 @@ from .errors import ParseError
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; lattice loads with the first polytope
     from .lattice import FanoPolytope
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file at path, read without a buffered file object.
+    Raises ParseError in the words of the OSError that stopped the read,
+    naming the path as open() does (os.read on a directory names none)."""
+    chunks = []
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise ParseError(exc) from exc
+    return b"".join(chunks)
 
 
 def decode_text(data: bytes) -> str:
@@ -80,11 +99,7 @@ def dumps_polytope(P: FanoPolytope, comment: str | None = None) -> str:
 
 
 def read_polytope(path) -> FanoPolytope:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads_polytope(decode_text(data))
+    return loads_polytope(decode_text(read_bytes(path)))
 
 
 def write_polytope(P: FanoPolytope, path, comment: str | None = None) -> None:

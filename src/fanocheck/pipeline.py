@@ -67,6 +67,7 @@ def _on_first_call(module: str, name: str, attribute: str | None = None):
     return stand_in
 
 
+read_bytes = _on_first_call("files", "read_bytes")
 decode_text = _on_first_call("files", "decode_text")
 # A diamond file's text to its checked integers, under the name that
 # bench/tracer.py times as the parse of a diamond file.
@@ -373,25 +374,6 @@ def _diamond_entry(name: str, n: int, c1_cn1, c_n, sums: tuple) -> EntryReport:
     return EntryReport(name, "diamond", status, payload=payload)
 
 
-def _read(path) -> bytes:
-    """The bytes of the file at path, read without a buffered file object.
-
-    An OSError names the path as open() would: os.read on a directory
-    raises without a file name, so the name is put back.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    except OSError as exc:
-        exc.filename = os.fspath(path)
-        raise
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
-
-
 def _is_special(entry: os.DirEntry) -> bool:
     """Whether a scanned entry exists but is neither a regular file nor a
     directory: a FIFO, which a read would wait on, or a device, which it
@@ -416,12 +398,11 @@ def run_check(path, dual: bool = False, mode: str = "auto") -> EntryReport:
     (M-side) polytope and the N-side one is reconstructed by duality
     before the pipeline runs.
     """
-    name = str(path)
     try:
-        data = _read(path)
-    except OSError as exc:
-        return _refused(name, "diamond" if mode == "diamond" else "toric", ParseError(exc))
-    return _check_data(data, name, dual, mode)
+        data = read_bytes(path)
+    except ParseError as exc:
+        return _refused(str(path), "diamond" if mode == "diamond" else "toric", exc)
+    return _check_data(data, str(path), dual, mode)
 
 
 def _check_data(data: bytes, name: str, dual: bool = False, mode: str = "auto") -> EntryReport:
@@ -452,35 +433,38 @@ class RunReport(Value):
         set_field(self, "entries", entries)
 
     @property
-    def counts(self) -> dict[str, int]:
-        ok = sum(1 for e in self.entries if e.status is CheckStatus.OK)
-        violations = sum(
-            1 for e in self.entries if e.status is CheckStatus.IDENTITY_VIOLATION
-        )
-        errors = len(self.entries) - ok - violations
+    def aggregate(self) -> dict[str, int]:
+        """The entry counts and the run's exit status, the highest of its
+        entries' exit codes, from one pass over the entries."""
+        statuses = Counter(e.status for e in self.entries)
+        total = len(self.entries)
+        ok, violations = statuses[CheckStatus.OK], statuses[CheckStatus.IDENTITY_VIOLATION]
         return {
-            "total": len(self.entries),
+            "total": total,
             "ok": ok,
             "identity_violations": violations,
-            "errors": errors,
+            "errors": total - ok - violations,
+            "exit_status": max((s.exit_code for s in statuses), default=0),
         }
 
     @property
+    def counts(self) -> dict[str, int]:
+        return {k: v for k, v in self.aggregate.items() if k != "exit_status"}
+
+    @property
     def exit_status(self) -> int:
-        statuses = {e.status for e in self.entries}
-        return max((s.exit_code for s in statuses), default=0)
+        return self.aggregate["exit_status"]
 
     def to_dict(self) -> dict:
         return {
             "entries": [e.to_dict() for e in self.entries],
-            "aggregate": {**self.counts, "exit_status": self.exit_status},
+            "aggregate": self.aggregate,
         }
 
     def iter_json(self) -> Iterator[str]:
         """to_json() in chunks of one entry each, so neither the whole
         dict tree nor the whole text of a long batch is ever held."""
-        aggregate = {**self.counts, "exit_status": self.exit_status}
-        yield '{\n  "aggregate": ' + dumps_json(aggregate, "\n  ") + ',\n  "entries": '
+        yield '{\n  "aggregate": ' + dumps_json(self.aggregate, "\n  ") + ',\n  "entries": '
         if not self.entries:
             yield "[]\n}"
             return
@@ -517,12 +501,10 @@ class RunReport(Value):
         for e in self.entries:
             yield sep + e.to_text()
             sep = "\n\n"
-        counts = self.counts
-        yield (
-            f"{sep}checked {counts['total']} inputs: {counts['ok']} ok, "
-            f"{counts['identity_violations']} identity violations, "
-            f"{counts['errors']} errors"
-        )
+        yield sep + (
+            "checked {total} inputs: {ok} ok, {identity_violations} identity violations, "
+            "{errors} errors"
+        ).format_map(self.aggregate)
 
     def to_text(self) -> str:
         return "".join(self.iter_text())
@@ -545,9 +527,9 @@ def run_batch(paths) -> RunReport:
 
     def check(path: str) -> EntryReport:
         try:
-            data = _read(path)
-        except OSError as exc:
-            return _refused(path, "toric", ParseError(exc))
+            data = read_bytes(path)
+        except ParseError as exc:
+            return _refused(path, "toric", exc)
         entry = checked.get(data)
         if entry is not None:
             return EntryReport(path, entry.mode, entry.status, entry.error, entry.payload)

@@ -260,6 +260,14 @@ class TestGenerators:
         p2 = FIXTURES / "p2.poly"
         self._assert_one_error_line(run_cli(["gen", "sum", p2, p2, "-o", out]))
 
+    def test_gen_sum_missing_input(self, tmp_path):
+        # one line, in the OSError's words, which name the path once
+        missing, out = tmp_path / "nope.poly", tmp_path / "s.poly"
+        result = run_cli(["gen", "sum", missing, FIXTURES / "p2.poly", "-o", out])
+        self._assert_one_error_line(result)
+        assert result.stderr.count(str(missing)) == 1
+        assert not out.exists()
+
     # A missing output directory is made, so only a file in the way fails.
     @pytest.mark.parametrize("inner", ["", "x"], ids=["is_a_file", "under_a_file"])
     def test_corpus_dim2_unwritable_output_dir(self, tmp_path, inner):
@@ -307,8 +315,11 @@ class TestTerminal:
 
     @pytest.mark.parametrize(
         "sequence",
-        ["\x1b]0;t\x07", "\x1b]0;t\x1b\\", "\x1b[2~", "\x1b[38:5:1m", "\x1bc"],
-        ids=["osc-bel", "osc-st", "csi-tilde", "csi-colon", "ris"],
+        [
+            "\x1b]0;t\x07", "\x1b]0;t\x1b\\", "\x1b[2~", "\x1b[38:5:1m", "\x1bc",
+            "\u009b31m", "\u009d0;t\u009c", "\u0085",
+        ],
+        ids=["osc-bel", "osc-st", "csi-tilde", "csi-colon", "ris", "c1-csi", "c1-osc", "nel"],
     )
     def test_every_escape_dropped_off_a_terminal(self, tmp_path, sequence):
         shutil.copy(FIXTURES / "p2.poly", tmp_path / f"a{sequence}b.poly")
@@ -316,7 +327,7 @@ class TestTerminal:
         terminal = run_cli(["batch", tmp_path], tty=True)
         assert terminal.exit_code == piped.exit_code == 0
         assert f"== {tmp_path / f'a{sequence}b.poly'} (toric) ==" in terminal.output
-        assert "\x1b" not in piped.output
+        assert not re.search("[\x1b\x80-\x9f]", piped.output)
         # the rest of the name stays: a<sequence>b reads ab
         assert terminal.output.replace(sequence, "") == piped.output
 

@@ -1,6 +1,8 @@
 """Polytope text files and diamond JSON files."""
 
+import errno
 import json
+import os
 import random
 from pathlib import Path
 
@@ -196,8 +198,12 @@ class TestDiamondFiles:
         assert read_diamond(path) == k3
 
     def test_read_missing_file(self, tmp_path):
-        with pytest.raises(ParseError, match="cannot read"):
-            read_diamond(tmp_path / "nope.json")
+        # in the OSError's own words, as a refused entry gives them
+        path = tmp_path / "nope.json"
+        with pytest.raises(ParseError) as exc:
+            read_diamond(path)
+        strerror = os.strerror(errno.ENOENT)
+        assert str(exc.value) == f"[Errno {errno.ENOENT}] {strerror}: {str(path)!r}"
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):

@@ -28,7 +28,7 @@ from fanocheck import (
     run_batch,
     run_check,
 )
-from fanocheck import pipeline
+from fanocheck import invariants, pipeline
 from fanocheck.errors import (
     ConsistencyError,
     DegenerateInput,
@@ -432,6 +432,27 @@ class TestRunBatch:
         assert entry.status is CheckStatus.INTERNAL_ERROR
         assert entry.error.startswith("NegativeCoefficient: ")
         assert run_cli(["check", FIXTURES / "p2.poly"]).exit_code == 3
+
+    @pytest.mark.parametrize(
+        "betti, words",
+        [((2, 1, 2), "malformed for dimension 2"), ((1, 1, 2), "is not palindromic")],
+        ids=["first-not-1", "not-palindromic"],
+    )
+    def test_impossible_betti_numbers_are_an_internal_error(self, monkeypatch, betti, words):
+        # No smooth reflexive input has them, so they signal a bug.
+        real = invariants._fan_side
+
+        def broken(P, walls):
+            return betti, real(P, walls)[1]
+
+        monkeypatch.setattr(invariants, "_fan_side", broken)
+        clear_caches()
+        entry = run_check(FIXTURES / "p2.poly")
+        assert entry.status is CheckStatus.INTERNAL_ERROR
+        assert entry.error == f"ConsistencyError: Betti list {betti} {words}"
+        result = run_cli(["check", FIXTURES / "p2.poly"])
+        assert result.exit_code == 3
+        assert f"error: ConsistencyError: Betti list {betti} {words}" in result.output
 
     def test_entries_just_below_the_bound_pass(self, tmp_path):
         path = tmp_path / "top.json"
