@@ -4,34 +4,19 @@ from __future__ import annotations
 
 from .errors import InvalidDimension
 from .lattice import FanoPolytope, polar_dual
-from .value import Value, set_field
+from .value import Value
 
 
 class PinnedValues(Value):
     """Optional regression values for a corpus entry."""
 
     __slots__ = _fields = ("betti", "c_n", "c1_cn1")
-
-    def __init__(
-        self,
-        betti: tuple[int, ...] | None = None,
-        c_n: int | None = None,
-        c1_cn1: int | None = None,
-    ):
-        set_field(self, "betti", betti)
-        set_field(self, "c_n", c_n)
-        set_field(self, "c1_cn1", c1_cn1)
+    _optional = 3
 
 
 class CorpusEntry(Value):
     __slots__ = _fields = ("name", "polytope", "expected")
-
-    def __init__(
-        self, name: str, polytope: FanoPolytope, expected: PinnedValues | None = None
-    ):
-        set_field(self, "name", name)
-        set_field(self, "polytope", polytope)
-        set_field(self, "expected", expected)
+    _optional = 1
 
 
 def gen_pn(n: int) -> FanoPolytope:

@@ -158,13 +158,7 @@ class DiamondFile(Value):
     """A Hodge diamond plus whatever Chern numbers the file supplied."""
 
     __slots__ = _fields = ("diamond", "c1_cn1", "c_n")
-
-    def __init__(
-        self, diamond: HodgeDiamond, c1_cn1: int | None = None, c_n: int | None = None
-    ):
-        set_field(self, "diamond", diamond)
-        set_field(self, "c1_cn1", c1_cn1)
-        set_field(self, "c_n", c_n)
+    _optional = 2
 
 
 def _require_int(value, name: str) -> int:

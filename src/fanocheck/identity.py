@@ -22,7 +22,7 @@ from math import gcd
 from operator import mul
 
 from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
-from .value import Value, set_field
+from .value import Value
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; a check loads only what its mode runs
@@ -52,22 +52,7 @@ class IdentityReport(Value):
         "chi_identity_ok",
         "quarter_form_ok",
     )
-
-    def __init__(
-        self,
-        n: int,
-        lhs4: int,
-        defect4: int,
-        rhs12: int | None = None,
-        chi_identity_ok: bool | None = None,
-        quarter_form_ok: bool | None = None,
-    ):
-        set_field(self, "n", n)
-        set_field(self, "lhs4", lhs4)
-        set_field(self, "defect4", defect4)
-        set_field(self, "rhs12", rhs12)
-        set_field(self, "chi_identity_ok", chi_identity_ok)
-        set_field(self, "quarter_form_ok", quarter_form_ok)
+    _optional = 3
 
     @property
     def equality(self) -> bool | None:

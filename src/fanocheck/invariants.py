@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import ConsistencyError
 from .lattice import FanoPolytope, _bits, _content, _dot
-from .value import Value, set_field
+from .value import Value
 
 
 def _walls(facets) -> list[tuple[int, int, int, int]]:
@@ -80,20 +80,6 @@ class ToricInvariants(Value):
     """
 
     __slots__ = _fields = ("n", "betti", "c_n", "c1_cn1", "f_vector")
-
-    def __init__(
-        self,
-        n: int,
-        betti: tuple[int, ...],
-        c_n: int,
-        c1_cn1: int,
-        f_vector: tuple[int, ...],
-    ):
-        set_field(self, "n", n)
-        set_field(self, "betti", betti)
-        set_field(self, "c_n", c_n)
-        set_field(self, "c1_cn1", c1_cn1)
-        set_field(self, "f_vector", f_vector)
 
 
 def _check_betti(betti, n: int) -> None:

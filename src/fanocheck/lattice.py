@@ -125,10 +125,6 @@ class Halfspace(Value):
 
     __slots__ = _fields = ("normal", "offset")
 
-    def __init__(self, normal: LatticePoint, offset: int):
-        set_field(self, "normal", normal)
-        set_field(self, "offset", offset)
-
 
 class FanoPolytope(Value):
     """Full-dimensional lattice polytope with primitive vertices.
@@ -208,19 +204,11 @@ class Cone(Value):
 
     __slots__ = _fields = ("indices", "inverse")
 
-    def __init__(self, indices: tuple[int, ...], inverse: tuple[tuple[int, ...], ...]):
-        set_field(self, "indices", indices)
-        set_field(self, "inverse", inverse)
-
 
 class _Hull(Value):
     """Facet halfspaces plus, per facet, the mask of its vertices."""
 
     __slots__ = _fields = ("halfspaces", "incidences")
-
-    def __init__(self, halfspaces: tuple[Halfspace, ...], incidences: tuple[int, ...]):
-        set_field(self, "halfspaces", halfspaces)
-        set_field(self, "incidences", incidences)
 
 
 def _scan(P: FanoPolytope) -> _Hull:

@@ -40,8 +40,6 @@ from .value import Value, set_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
-    from .identity import IdentityReport
-    from .invariants import ToricInvariants
     from .lattice import FanoPolytope
 
 
@@ -110,20 +108,6 @@ class ToricAnalysis(Value):
     """Everything computed for one validated smooth toric Fano polytope."""
 
     __slots__ = _fields = ("polytope", "delta", "invariants", "report", "consistency")
-
-    def __init__(
-        self,
-        polytope: FanoPolytope,
-        delta: FanoPolytope,
-        invariants: ToricInvariants,
-        report: IdentityReport,
-        consistency: dict[str, bool],
-    ):
-        set_field(self, "polytope", polytope)
-        set_field(self, "delta", delta)
-        set_field(self, "invariants", invariants)
-        set_field(self, "report", report)
-        set_field(self, "consistency", consistency)
 
 
 # A batch checks each distinct file content once, so a repeat reaches this
@@ -209,6 +193,11 @@ def dumps_json(value, _pad: str = "\n") -> str:
     raise TypeError(f"{kind.__name__} has no place in a report")
 
 
+# The ASCII line breaks of str.splitlines, as the JSON report writes them,
+# so that a name cannot split its entry's header into lines of its own.
+_LINE_BREAKS = {ord(c): encode_basestring_ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e"}
+
+
 class EntryReport(Value):
     """Outcome of checking one input; mode is "toric" or "diamond", and
     payload is a new dict unless one is given.
@@ -247,7 +236,7 @@ class EntryReport(Value):
         }
 
     def to_text(self) -> str:
-        lines = [f"== {self.name} ({self.mode}) =="]
+        lines = [f"== {self.name.translate(_LINE_BREAKS)} ({self.mode}) =="]
         p = self.payload
         if "n" in p:
             lines.append(f"dimension: {p['n']}")
@@ -428,9 +417,6 @@ class RunReport(Value):
     """Per-entry reports plus order-independent aggregate counts."""
 
     __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple[EntryReport, ...]):
-        set_field(self, "entries", entries)
 
     @property
     def aggregate(self) -> dict[str, int]:

@@ -16,7 +16,7 @@ from math import comb
 from .errors import DegenerateEdge, NegativeCoefficient
 from .invariants import ToricInvariants, _check_betti
 from .lattice import FanoPolytope, Halfspace, LatticePoint, _bits, _content, _independent
-from .value import Value, set_field
+from .value import Value
 
 
 class Face(Value):
@@ -24,10 +24,6 @@ class Face(Value):
     vertices lying on it."""
 
     __slots__ = _fields = ("dim", "vertex_indices")
-
-    def __init__(self, dim: int, vertex_indices: tuple[int, ...]):
-        set_field(self, "dim", dim)
-        set_field(self, "vertex_indices", vertex_indices)
 
 
 class FaceLattice(Value):
@@ -38,9 +34,6 @@ class FaceLattice(Value):
     """
 
     __slots__ = _fields = ("faces_by_dim",)
-
-    def __init__(self, faces_by_dim: tuple[tuple[Face, ...], ...]):
-        set_field(self, "faces_by_dim", faces_by_dim)
 
     @property
     def dim(self) -> int:
@@ -117,9 +110,6 @@ class IntPolynomial(Value):
     """Univariate polynomial with integer coefficients, index = degree."""
 
     __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        set_field(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, seq) -> "IntPolynomial":

@@ -331,6 +331,22 @@ class TestTerminal:
         # the rest of the name stays: a<sequence>b reads ab
         assert terminal.output.replace(sequence, "") == piped.output
 
+    def test_line_breaks_in_a_name_written_as_in_json(self, tmp_path):
+        # every ASCII line break str.splitlines breaks on
+        forged = tmp_path / "a\nstatus: ok\r\v\f\x1c\x1d\x1eb.poly"
+        shutil.copy(FIXTURES / "p2.poly", forged)
+        shutil.copy(FIXTURES / "p2.poly", tmp_path / "p2.poly")
+        header = f"== {json.dumps(str(forged))[1:-1]} (toric) =="
+        assert "\\u000b" in header and "\\u001e" in header
+        for tty in (False, True):
+            result = run_cli(["batch", tmp_path], tty=tty)
+            assert result.exit_code == 0
+            lines = result.output.splitlines()
+            assert header in lines
+            assert sum(line.startswith("status:") for line in lines) == 2
+        report = json.loads(run_cli(["batch", "--format", "json", tmp_path]).output)
+        assert report["entries"][0]["name"] == str(forged)
+
 
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader goes away after `budget` characters."""
@@ -762,6 +778,7 @@ print(any(t.is_alive() for t in threads), len(reports), set(reports) == {{sequen
             )
         with pytest.raises(AttributeError):
             fanocheck.no_such_name
+        assert set(fanocheck.__all__) <= set(dir(fanocheck))
         from fanocheck import pipeline
 
         assert pipeline is sys.modules["fanocheck.pipeline"]

@@ -115,9 +115,16 @@ class TestRunCheckToric:
             ("0 0", "InvalidDimension: dimension must be >= 1, got 0"),
             ("-1 0", "InvalidDimension: dimension must be >= 1, got -1"),
             ("1 0", "DegenerateInput: empty vertex list"),
+            # the file's refusal, from an empty vertex list
+            pytest.param([], "DegenerateInput: empty vertex list", id="from_vertices"),
         ],
     )
     def test_header_with_no_vertices(self, tmp_path, header, error):
+        if isinstance(header, list):
+            with pytest.raises(DegenerateInput) as info:
+                FanoPolytope.from_vertices(header)
+            assert f"DegenerateInput: {info.value}" == error
+            return
         path = tmp_path / "empty.poly"
         path.write_text(f"{header}\n")
         entry = run_check(path)

@@ -81,6 +81,23 @@ def test_fields_are_the_constructor_parameters(name):
     assert tuple(inspect.signature(cls).parameters) == cls._fields
 
 
+# class name -> its constructor's parameters that have a default, each None
+DEFAULTS = {
+    "CorpusEntry": ("expected",),
+    "DiamondFile": ("c1_cn1", "c_n"),
+    "EntryReport": ("error", "payload"),
+    "IdentityReport": ("rhs12", "chi_identity_ok", "quarter_form_ok"),
+    "PinnedValues": ("betti", "c_n", "c1_cn1"),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_defaults(name):
+    parameters = inspect.signature(type(SAMPLES[name]())).parameters.values()
+    defaults = [(p.name, p.default) for p in parameters if p.default is not p.empty]
+    assert defaults == [(field, None) for field in DEFAULTS.get(name, ())]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_fields_cannot_be_assigned_or_deleted(name):
     obj = SAMPLES[name]()
