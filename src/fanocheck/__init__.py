@@ -25,11 +25,7 @@ _PUBLIC = {
     "identity": (
         "IdentityReport",
         "check_betti_chern",
-        "chern_side",
-        "chi_weighted_sum",
-        "quarter_weighted_form",
         "toric_identity_report",
-        "verify_chi_identity",
         "weighted_betti_sum",
     ),
     "invariants": ("ToricInvariants", "toric_invariants"),

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import FanocheckError
-from .pipeline import RunReport, run_batch, run_check
+from .pipeline import _LINE_BREAKS, RunReport, run_batch, run_check
 
 # Escape sequences and C1 controls a file name can carry into a text report.
 # They reach a terminal as they are and are dropped from anything else: an
@@ -61,8 +61,9 @@ def _emit(report: RunReport, fmt: str) -> None:
 
 
 def _wrote(paths) -> None:
-    """Name each written file on stdout, then flush."""
-    _write(f"wrote {path}\n" for path in paths)
+    """Name each written file on stdout, one line each, then flush: a line
+    break in a path is written as in a text report's entry names."""
+    _write(f"wrote {str(path).translate(_LINE_BREAKS)}\n" for path in paths)
     sys.stdout.flush()
 
 

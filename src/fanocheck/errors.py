@@ -58,10 +58,6 @@ class HypothesisViolated(ValidationError):
     requires all odd-degree entries to vanish."""
 
 
-class NotPalindromic(ValidationError):
-    """A sequence required to satisfy x[k] == x[n-k] does not."""
-
-
 class LengthMismatch(ValidationError):
     """A coefficient list does not have the expected length n + 1."""
 

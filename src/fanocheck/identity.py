@@ -8,11 +8,10 @@ inequality
 holds, with equality exactly when all off-diagonal Hodge numbers vanish;
 the gap is the defect sum h^{p,q} ((q-p)/2)^2.  Every side is an integer
 over a fixed scale: 4 for the weighted sums and the defect, 12 for the Chern
-side, 16 and 48 for the two sides of the original normalization.  Each
-kernel sums integers; a report keeps those numerators, and the verdicts
-compare them cross-multiplied to a common scale, so every comparison is
-exact and no floating point is involved.  Only the helpers that return
-exact Fractions import `fractions`, on their first call.
+side.  Each kernel sums integers; a report keeps those numerators, and the
+verdicts compare them cross-multiplied to a common scale, so every
+comparison is exact and no floating point is involved.  Only the helpers
+that return exact Fractions import `fractions`, on their first call.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .errors import HypothesisViolated, LengthMismatch, NotPalindromic
+from .errors import HypothesisViolated, LengthMismatch
 from .value import Value
 
 TYPE_CHECKING = False
@@ -120,14 +119,9 @@ def _ratio_text(num: int, scale: int) -> str:
 
 
 @lru_cache(maxsize=32)
-def _weights(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For k = 0..n, the weights (2k - n)^2 of the scaled weighted sums and
-    (2k - n + 1)(n + 1 - 2k) of the scaled original normalization."""
-    ks = range(n + 1)
-    return (
-        tuple((2 * k - n) ** 2 for k in ks),
-        tuple((2 * k - n + 1) * (n + 1 - 2 * k) for k in ks),
-    )
+def _weights(n: int) -> tuple[int, ...]:
+    """For k = 0..n, the weights (2k - n)^2 of the scaled weighted sums."""
+    return tuple((2 * k - n) ** 2 for k in range(n + 1))
 
 
 def _length(values, n: int):
@@ -139,7 +133,7 @@ def _length(values, n: int):
 
 def _weighted_sum4(values, n: int) -> int:
     """4 * sum_k values[k] * (k - n/2)^2, an integer, for n + 1 values."""
-    return sum(map(mul, values, _weights(n)[0]))
+    return sum(map(mul, values, _weights(n)))
 
 
 def _chern_side12(c1_cn1: int, c_n: int, n: int) -> int:
@@ -147,48 +141,9 @@ def _chern_side12(c1_cn1: int, c_n: int, n: int) -> int:
     return 2 * c1_cn1 + n * c_n
 
 
-def _quarter_sides(betti, c1_cn1: int, n: int) -> tuple[int, int]:
-    """16 * lhs and 48 * rhs of the original normalization, as integers,
-    for n + 1 Betti numbers."""
-    return sum(map(mul, betti, _weights(n)[1])), (3 - n) * sum(betti) - 2 * c1_cn1
-
-
 def weighted_betti_sum(betti, n: int) -> Fraction:
     """sum_k betti[k] * (k - n/2)^2, exact."""
     return _fraction(_weighted_sum4(_length(betti, n), n), 4)
-
-
-def chern_side(c1_cn1: int, c_n: int, n: int) -> Fraction:
-    """(1/6) c_1 c_{n-1} + (n/12) c_n, exact."""
-    return _fraction(_chern_side12(c1_cn1, c_n, n), 12)
-
-
-def chi_weighted_sum(chi, n: int) -> Fraction:
-    """sum_p chi[p] * (p - n/2)^2, exact."""
-    return _fraction(_weighted_sum4(_length(chi, n), n), 4)
-
-
-def verify_chi_identity(chi, c1_cn1: int, c_n: int, n: int) -> bool:
-    """Exact test of sum_p chi_p (p - n/2)^2 = (1/6) c_1 c_{n-1} + (n/12) c_n.
-
-    The chi list must be palindromic (chi_p = chi_{n-p}), which holds for
-    any variety by Serre duality.
-    """
-    if tuple(_length(chi, n)) != tuple(chi)[::-1]:
-        raise NotPalindromic(f"chi list {tuple(chi)} is not palindromic")
-    return 3 * _weighted_sum4(chi, n) == _chern_side12(c1_cn1, c_n, n)
-
-
-def quarter_weighted_form(betti, c1_cn1: int, n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the identity in its original normalization.
-
-    lhs = (1/4) sum_k h^{2k} (k - (n-1)/2)(1 - k + (n-1)/2) and
-    rhs = (1/24) ((3-n)/2 * chi(X) - c_1 c_{n-1}), with chi(X) taken as the
-    sum of the Betti numbers.  The two sides agree exactly iff the rewritten
-    (k - n/2)^2 form does.
-    """
-    lhs16, rhs48 = _quarter_sides(_length(betti, n), c1_cn1, n)
-    return _fraction(lhs16, 16), _fraction(rhs48, 48)
 
 
 def check_betti_chern(
@@ -230,8 +185,8 @@ def _diamond_sides(sums: tuple, c1_cn1, c_n) -> tuple:
 def _sides(betti, defect4: int, c1_cn1=None, c_n=None, chi=None) -> tuple:
     """IdentityReport's leading fields for the even Betti numbers betti, in
     dimension len(betti) - 1, with defect numerator defect4; with c_n, also
-    rhs12, and with the chi side chi (as long as betti) the two verdicts
-    tested on it."""
+    rhs12, and with the chi side chi (as long as betti) chi_identity_ok and
+    quarter_form_ok, the original normalization with chi = sum(betti)."""
     n = len(betti) - 1
     lhs4 = _weighted_sum4(betti, n)
     if c_n is None:
@@ -239,8 +194,9 @@ def _sides(betti, defect4: int, c1_cn1=None, c_n=None, chi=None) -> tuple:
     rhs12 = _chern_side12(c1_cn1, c_n, n)
     if chi is None:
         return n, lhs4, defect4, rhs12
-    quarter16, quarter48 = _quarter_sides(betti, c1_cn1, n)
-    return n, lhs4, defect4, rhs12, 3 * _weighted_sum4(chi, n) == rhs12, 3 * quarter16 == quarter48
+    # e = sum(betti): 3 (e - lhs4) == (3-n) e - 2 c1_cn1 as (2k-n+1)(n+1-2k) = 1 - (2k-n)^2
+    quarter_form_ok = 3 * lhs4 == _chern_side12(c1_cn1, sum(betti), n)
+    return n, lhs4, defect4, rhs12, 3 * _weighted_sum4(chi, n) == rhs12, quarter_form_ok
 
 
 def toric_identity_report(inv: ToricInvariants) -> IdentityReport:

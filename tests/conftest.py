@@ -169,6 +169,30 @@ def product_f_vector(f_a, f_b):
     return tuple(out)
 
 
+# The identity's sides written directly in Fraction arithmetic.  The library
+# sums scaled integers instead, and must agree with these exactly.
+
+
+def ref_weighted_betti_sum(betti, n):
+    half_n = Fraction(n, 2)
+    return sum((b * (k - half_n) ** 2 for k, b in enumerate(betti)), Fraction(0))
+
+
+def ref_chern_side(c1_cn1, c_n, n):
+    return Fraction(c1_cn1, 6) + Fraction(n, 12) * c_n
+
+
+def ref_quarter_weighted_form(betti, c1_cn1, n):
+    """Both sides of the identity in the original normalization, with chi
+    taken as the sum of the Betti numbers."""
+    mid = Fraction(n - 1, 2)
+    lhs = Fraction(1, 4) * sum(
+        (b * (k - mid) * (1 - k + mid) for k, b in enumerate(betti)), Fraction(0)
+    )
+    rhs = Fraction(1, 24) * (Fraction(3 - n, 2) * sum(betti) - c1_cn1)
+    return lhs, rhs
+
+
 def diagonal_diamond(betti) -> HodgeDiamond:
     """The diamond with h[p][p] = betti[p] and zeros elsewhere."""
     rows = [[b * (p == q) for q in range(len(betti))] for p, b in enumerate(betti)]

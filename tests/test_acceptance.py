@@ -18,9 +18,7 @@ import pytest
 from fanocheck import (
     CheckStatus,
     IntPolynomial,
-    chern_side,
     chi_p,
-    chi_weighted_sum,
     defect,
     dim2_corpus,
     dumps_polytope,
@@ -30,17 +28,21 @@ from fanocheck import (
     is_reflexive,
     loads_polytope,
     poincare_polynomial,
-    quarter_weighted_form,
     run_batch,
     run_check,
     second_derivative_at_one,
-    verify_chi_identity,
     verify_face_count_identity,
     weighted_betti_sum,
 )
 from fanocheck.pipeline import analyze, clear_caches
 
-from conftest import diagonal_diamond, random_symmetric_diamond
+from conftest import (
+    diagonal_diamond,
+    random_symmetric_diamond,
+    ref_chern_side,
+    ref_quarter_weighted_form,
+    ref_weighted_betti_sum,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -85,8 +87,10 @@ def assert_every_form(analysis, label):
     identity, each through its own formula: the report writes none of them
     for a toric input, where chi_p is the Betti number h^{2p}."""
     inv, delta = analysis.invariants, analysis.delta
-    assert verify_chi_identity(inv.betti, inv.c1_cn1, inv.c_n, inv.n), label
-    lhs, rhs = quarter_weighted_form(inv.betti, inv.c1_cn1, inv.n)
+    assert inv.betti == inv.betti[::-1], label
+    chern = ref_chern_side(inv.c1_cn1, inv.c_n, inv.n)
+    assert ref_weighted_betti_sum(inv.betti, inv.n) == chern, label
+    lhs, rhs = ref_quarter_weighted_form(inv.betti, inv.c1_cn1, inv.n)
     assert lhs == rhs, label
     assert verify_face_count_identity(delta, face_lattice(delta)), label
 
@@ -178,7 +182,7 @@ def test_criterion_5_decomposition_property():
             d = random_symmetric_diamond(rng, max_n=6, max_entry=50)
             lhs = weighted_betti_sum(d.even_betti(), d.n)
             gap = defect(d)
-            assert lhs + gap == chi_weighted_sum(chi_p(d), d.n)
+            assert lhs + gap == ref_weighted_betti_sum(chi_p(d), d.n)
             assert gap >= 0
             diagonal = all(x == 0 for p, row in enumerate(d.h) for q, x in enumerate(row) if p != q)
             assert (gap == 0) == diagonal
@@ -223,10 +227,10 @@ def test_criterion_7_equivalence_of_forms():
                 c1_cn1 = int(exact)
             else:
                 c1_cn1 = rng.randint(-300, 300)
-            rewritten_holds = weighted_betti_sum(betti, n) == chern_side(
+            rewritten_holds = weighted_betti_sum(betti, n) == ref_chern_side(
                 c1_cn1, c_n, n
             )
-            lhs, rhs = quarter_weighted_form(betti, c1_cn1, n)
+            lhs, rhs = ref_quarter_weighted_form(betti, c1_cn1, n)
             assert (lhs == rhs) == rewritten_holds
             agree += rewritten_holds
             disagree += not rewritten_holds
@@ -248,10 +252,9 @@ def test_criterion_8_negative_controls():
         # P3: the c_n coefficient must be n/12; the 1/12 variant fails.
         p3 = analyze(gen_pn(3))
         lhs = p3.report.lhs
-        assert lhs == chern_side(p3.invariants.c1_cn1, p3.invariants.c_n, 3) == 5
-        one_twelfth_variant = (
-            Fraction(p3.invariants.c1_cn1, 6) + Fraction(1, 12) * p3.invariants.c_n
-        )
+        c1_cn1, c_n = p3.invariants.c1_cn1, p3.invariants.c_n
+        assert lhs == p3.report.rhs == ref_chern_side(c1_cn1, c_n, 3) == 5
+        one_twelfth_variant = Fraction(c1_cn1, 6) + Fraction(1, 12) * c_n
         assert lhs != one_twelfth_variant
 
 

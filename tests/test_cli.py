@@ -347,6 +347,20 @@ class TestTerminal:
         report = json.loads(run_cli(["batch", "--format", "json", tmp_path]).output)
         assert report["entries"][0]["name"] == str(forged)
 
+    def test_line_breaks_in_a_written_name(self, tmp_path):
+        # A generator names each file it wrote on one line of its own.
+        out = tmp_path / "x\nstatus: ok\r.poly"
+        result = run_cli(["gen", "pn", "2", "-o", out])
+        assert result.exit_code == 0
+        assert result.output == f"wrote {json.dumps(str(out))[1:-1]}\n"
+        assert run_cli(["check", out]).exit_code == 0
+        out_dir = tmp_path / "d\nstatus: ok"
+        result = run_cli(["corpus", "dim2", "-o", out_dir])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert len(lines) == len(list(out_dir.iterdir())) == 5
+        assert all(line.startswith(f"wrote {json.dumps(str(out_dir))[1:-1]}/") for line in lines)
+
 
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader goes away after `budget` characters."""

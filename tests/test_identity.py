@@ -15,9 +15,7 @@ from fanocheck import (
     ToricInvariants,
     analyze,
     check_betti_chern,
-    chern_side,
     chi_p,
-    chi_weighted_sum,
     defect,
     dim2_corpus,
     edge_interior_points,
@@ -26,23 +24,26 @@ from fanocheck import (
     gen_pn,
     loads_polytope,
     polar_dual,
-    quarter_weighted_form,
     read_polytope,
     reflexive_dual,
     toric_identity_report,
-    verify_chi_identity,
     verify_face_count_identity,
     weighted_betti_sum,
 )
 from fanocheck.errors import (
     HypothesisViolated,
     LengthMismatch,
-    NotPalindromic,
     ParseError,
     ValidationError,
 )
 
-from conftest import diagonal_diamond, random_symmetric_diamond
+from conftest import (
+    diagonal_diamond,
+    random_symmetric_diamond,
+    ref_chern_side,
+    ref_quarter_weighted_form,
+    ref_weighted_betti_sum,
+)
 from test_golden import FIXTURES, GOLDEN, ROOT, _generated_polytopes
 
 pytestmark = pytest.mark.filterwarnings(
@@ -63,7 +64,7 @@ class TestWeightedBettiSum:
         assert weighted_betti_sum((0, 0, 0), 2) == 0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match=r"expected 3 entries, got 2"):
             weighted_betti_sum((1, 1), 2)
 
     def test_pn_closed_form(self):
@@ -73,16 +74,21 @@ class TestWeightedBettiSum:
             )
 
 
+def _toric_rhs(n, c1_cn1, c_n):
+    """The Chern side of a toric report with these Chern numbers."""
+    return toric_identity_report(ToricInvariants(n, (1,) * (n + 1), c_n, c1_cn1, ())).rhs
+
+
 class TestChernSide:
     def test_p2_values(self):
-        assert chern_side(9, 3, 2) == 2
+        assert _toric_rhs(2, 9, 3) == 2
 
     def test_k3_values(self):
-        assert chern_side(0, 24, 2) == 4
+        assert _toric_rhs(2, 0, 24) == 4
 
     def test_zero(self):
         for n in range(1, 6):
-            assert chern_side(0, 0, n) == 0
+            assert _toric_rhs(n, 0, 0) == 0
 
 
 class TestCheckBettiChern:
@@ -165,35 +171,25 @@ class TestCheckBettiChern:
 
 class TestChiIdentity:
     def test_k3(self):
-        assert verify_chi_identity((2, 20, 2), 0, 24, 2)
+        assert check_betti_chern(K3, 0, 24).chi_identity_ok
 
     def test_p2(self):
-        assert verify_chi_identity((1, 1, 1), 9, 3, 2)
+        assert check_betti_chern(diagonal_diamond([1, 1, 1]), 9, 3).chi_identity_ok
 
     def test_false_case(self):
-        assert not verify_chi_identity((1, 0, 1), 0, 0, 2)
-
-    def test_not_palindromic(self):
-        with pytest.raises(NotPalindromic):
-            verify_chi_identity((1, 2, 3), 0, 0, 2)
-
-    def test_length(self):
-        with pytest.raises(LengthMismatch):
-            verify_chi_identity((1, 1), 0, 0, 2)
+        # chi_p = (1, 0, 1) weighs 2 against a Chern side of 0.
+        assert check_betti_chern(diagonal_diamond([1, 0, 1]), 0, 0).chi_identity_ok is False
 
 
 class TestQuarterWeightedForm:
     def test_p2(self):
-        lhs, rhs = quarter_weighted_form((1, 1, 1), 9, 2)
-        assert lhs == rhs == Fraction(-5, 16)
+        assert check_betti_chern(diagonal_diamond([1, 1, 1]), 9, 3).quarter_form_ok
+        assert ref_quarter_weighted_form((1, 1, 1), 9, 2) == (Fraction(-5, 16),) * 2
 
     def test_k3_strict(self):
-        lhs, rhs = quarter_weighted_form((1, 22, 1), 0, 2)
-        assert lhs != rhs
+        assert check_betti_chern(K3, 0, 24).quarter_form_ok is False
+        lhs, rhs = ref_quarter_weighted_form((1, 22, 1), 0, 2)
         assert lhs - rhs == Fraction(1, 2)
-
-    def test_zero(self):
-        assert quarter_weighted_form((0, 0), 0, 1) == (0, 0)
 
     def test_scaling_relation(self, rng):
         # lhs - rhs is always -(1/4) of (weighted sum - Chern side) with
@@ -202,26 +198,29 @@ class TestQuarterWeightedForm:
             n = rng.randint(1, 8)
             betti = [rng.randint(0, 50) for _ in range(n + 1)]
             c1 = rng.randint(-200, 200)
-            lhs, rhs = quarter_weighted_form(betti, c1, n)
-            gap = weighted_betti_sum(betti, n) - chern_side(c1, sum(betti), n)
+            lhs, rhs = ref_quarter_weighted_form(betti, c1, n)
+            gap = weighted_betti_sum(betti, n) - ref_chern_side(c1, sum(betti), n)
             assert lhs - rhs == -Fraction(1, 4) * gap
 
     def test_equivalence_of_forms(self, rng):
+        # On a diagonal diamond, with c_n the Betti sum, the report's
+        # original-normalization verdict is its equality verdict, and both
+        # read as the original normalization's two sides compare.
         hits = 0
         for _ in range(300):
             n = rng.randint(1, 8)
-            betti = [rng.randint(0, 50) for _ in range(n + 1)]
+            betti = [1, *(rng.randint(0, 50) for _ in range(n))]
             c_n = sum(betti)
             exact = 6 * weighted_betti_sum(betti, n) - Fraction(n, 2) * c_n
             if exact.denominator == 1 and rng.random() < 0.5:
                 c1 = int(exact)  # forces the rewritten identity to hold
             else:
                 c1 = rng.randint(-200, 200)
-            rewritten = weighted_betti_sum(betti, n) == chern_side(c1, c_n, n)
-            lhs, rhs = quarter_weighted_form(betti, c1, n)
-            assert (lhs == rhs) == rewritten
-            hits += rewritten
-        assert hits > 0  # both branches of the iff exercised
+            report = check_betti_chern(diagonal_diamond(betti), c1, c_n)
+            lhs, rhs = ref_quarter_weighted_form(betti, c1, n)
+            assert report.quarter_form_ok == (lhs == rhs) == report.equality
+            hits += report.equality
+        assert 0 < hits < 300  # both branches of the iff exercised
 
 
 class TestFaceCountIdentity:
@@ -255,7 +254,7 @@ class TestConstantRegression:
         lhs = weighted_betti_sum((1, 1, 1, 1), 3)
         good = Fraction(24, 6) + Fraction(3, 12) * 4
         bad = Fraction(24, 6) + Fraction(1, 12) * 4
-        assert lhs == good == chern_side(24, 4, 3)
+        assert lhs == good == check_betti_chern(diagonal_diamond((1, 1, 1, 1)), 24, 4).rhs
         assert lhs != bad
         assert bad == Fraction(13, 3)
 
@@ -269,7 +268,7 @@ class TestEqualityCriterion:
             d = random_symmetric_diamond(rng, max_n=6, max_entry=12)
             n = d.n
             c_n = sum(chi_p(d))
-            target = chi_weighted_sum(chi_p(d), n)
+            target = ref_weighted_betti_sum(chi_p(d), n)
             c1_exact = 6 * target - Fraction(n, 2) * c_n
             if c1_exact.denominator != 1:
                 continue
@@ -307,10 +306,10 @@ class TestMonotonePerturbation:
             for dd in (d, bumped):
                 assert weighted_betti_sum(dd.even_betti(), n) + defect(
                     dd
-                ) == chi_weighted_sum(chi_p(dd), n)
+                ) == ref_weighted_betti_sum(chi_p(dd), n)
             # and the chi side moves by the perturbation's full weight
             half_n = Fraction(n, 2)
-            assert chi_weighted_sum(chi_p(bumped), n) - chi_weighted_sum(
+            assert ref_weighted_betti_sum(chi_p(bumped), n) - ref_weighted_betti_sum(
                 chi_p(d), n
             ) == (p - half_n) ** 2 + (q - half_n) ** 2
 
@@ -318,29 +317,6 @@ class TestMonotonePerturbation:
 @pytest.fixture
 def rng():
     return random.Random(55331)
-
-
-# Reference implementations: the identity kernels written directly in
-# Fraction arithmetic.  The library sums scaled integers instead, and must
-# agree with these exactly.
-
-
-def ref_weighted_betti_sum(betti, n):
-    half_n = Fraction(n, 2)
-    return sum((b * (k - half_n) ** 2 for k, b in enumerate(betti)), Fraction(0))
-
-
-def ref_chern_side(c1_cn1, c_n, n):
-    return Fraction(c1_cn1, 6) + Fraction(n, 12) * c_n
-
-
-def ref_quarter_weighted_form(betti, c1_cn1, n):
-    mid = Fraction(n - 1, 2)
-    lhs = Fraction(1, 4) * sum(
-        (b * (k - mid) * (1 - k + mid) for k, b in enumerate(betti)), Fraction(0)
-    )
-    rhs = Fraction(1, 24) * (Fraction(3 - n, 2) * sum(betti) - c1_cn1)
-    return lhs, rhs
 
 
 def ref_face_count_identity(delta, faces):
@@ -394,23 +370,15 @@ class TestKernelsMatchFractionReference:
     @given(_vector_and_n())
     def test_weighted_sums(self, vec_n):
         vec, n = vec_n
-        for kernel in (weighted_betti_sum, chi_weighted_sum):
-            got = kernel(vec, n)
-            assert type(got) is Fraction
-            assert got == ref_weighted_betti_sum(vec, n)
+        got = weighted_betti_sum(vec, n)
+        assert type(got) is Fraction
+        assert got == ref_weighted_betti_sum(vec, n)
 
     @given(_entries, _entries, st.integers(0, 12))
     def test_chern_side(self, c1_cn1, c_n, n):
-        got = chern_side(c1_cn1, c_n, n)
+        got = _toric_rhs(n, c1_cn1, c_n)
         assert type(got) is Fraction
         assert got == ref_chern_side(c1_cn1, c_n, n)
-
-    @given(_vector_and_n(), _entries)
-    def test_quarter_weighted_form(self, vec_n, c1_cn1):
-        betti, n = vec_n
-        got = quarter_weighted_form(betti, c1_cn1, n)
-        assert all(type(x) is Fraction for x in got)
-        assert got == ref_quarter_weighted_form(betti, c1_cn1, n)
 
     @pytest.mark.parametrize("dual", [True, False])
     def test_face_count_verdicts(self, dual):
@@ -449,6 +417,46 @@ class TestKernelsMatchFractionReference:
         assert got.inequality_ok == (lhs <= rhs)
         assert got.chi_identity_ok == (ref_weighted_betti_sum(chi_p(diamond), n) == rhs)
         assert got.quarter_form_ok == (quarter_lhs == quarter_rhs)
+
+
+def assert_fields_mean_their_text(fields):
+    """lhs, defect and rhs read back as Fractions, written as str() writes
+    them, and the verdicts say what those Fractions say."""
+    text = [fields["lhs"], fields["defect"], fields["rhs"]]
+    lhs, defect, rhs = (None if x is None else Fraction(x) for x in text)
+    assert [None if x is None else str(x) for x in (lhs, defect, rhs)] == text
+    if rhs is None:
+        assert fields["equality"] is fields["inequality_ok"] is None
+        return
+    assert fields["equality"] == (lhs == rhs)
+    assert fields["inequality_ok"] == (lhs <= rhs)
+    if fields.get("chi_identity_ok"):
+        assert rhs - lhs == defect
+
+
+class TestReportRoundTrip:
+    """A report's text sides, parsed back, give its verdicts."""
+
+    def test_golden_reports(self):
+        golden = json.loads(GOLDEN.read_text())
+        seen = {"no rhs": 0, "chi identity": 0, "strict": 0, "ok toric": 0}
+        for label, entry in golden.items():
+            if "identity" not in entry:
+                continue
+            fields = entry["identity"]
+            assert_fields_mean_their_text(fields)
+            if entry["mode"] == "toric" and entry["status"] == "ok":
+                assert Fraction(fields["defect"]) == 0, label
+                seen["ok toric"] += 1
+            seen["no rhs"] += fields["rhs"] is None
+            seen["chi identity"] += fields.get("chi_identity_ok") is True
+            seen["strict"] += fields["equality"] is False
+        assert min(seen.values()) > 0, seen
+
+    @given(_diamond_and_chern())
+    def test_diamond_reports(self, case):
+        diamond, c1_cn1, c_n = case
+        assert_fields_mean_their_text(check_betti_chern(diamond, c1_cn1, c_n).to_dict())
 
 
 def _old_frac_str(x: Fraction) -> str:
